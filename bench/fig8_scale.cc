@@ -65,6 +65,10 @@
 #include "src/support/resource.h"
 #include "src/support/table.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace {
 
 using namespace trimcaching;
@@ -121,6 +125,13 @@ bool same_placements(const core::PlacementSolution& a,
 }  // namespace
 
 int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // Pin glibc's mmap threshold at its 128 KiB default. Left dynamic, it
+  // rises after large frees, and the tile threads' arenas then keep freed
+  // solve memory resident past release_freed_memory(), so every variant's
+  // sampled peak would carry the previous variants' leftovers.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
   try {
     const auto options = support::Options::parse(argc, argv);
     options.check_unknown({"threads", "scale", "reps", "workers", "worker_bin"});

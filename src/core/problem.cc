@@ -1,7 +1,10 @@
 #include "src/core/problem.h"
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace trimcaching::core {
 
@@ -51,17 +54,6 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
                                    const workload::RequestModel& requests,
                                    std::vector<ServerId> servers,
                                    std::vector<UserId> users)
-    : PlacementProblem(topology, library, requests, std::move(servers),
-                       std::move(users), LinksOnly{}) {
-  hit_lists_built_ = true;
-  build_hit_lists();
-}
-
-PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
-                                   const model::ModelLibrary& library,
-                                   const workload::RequestModel& requests,
-                                   std::vector<ServerId> servers,
-                                   std::vector<UserId> users, LinksOnly)
     : topology_(&topology),
       library_(&library),
       requests_(&requests),
@@ -70,8 +62,7 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
       num_models_(library.num_models()),
       is_view_(true),
       server_ids_(std::move(servers)),
-      user_ids_(std::move(users)),
-      hit_lists_built_(false) {
+      user_ids_(std::move(users)) {
   if (!library.finalized()) {
     throw std::invalid_argument("PlacementProblem: library must be finalized");
   }
@@ -82,6 +73,7 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
   check_subset(server_ids_, topology.num_servers(), "server");
   check_subset(user_ids_, topology.num_users(), "user");
   build_links();
+  build_hit_lists();
 }
 
 PlacementProblem::PlacementProblem(OwnedProblemData data)
@@ -120,6 +112,24 @@ PlacementProblem::PlacementProblem(OwnedProblemData data)
   backhaul_bps_ = data.backhaul_bps;
   inv_eff_ = std::move(data.inv_eff);
   assoc_ = std::move(data.assoc);
+  // build_hit_lists prices user k's relay once, from its first
+  // non-associated cell, so every such cell must carry the same rate.
+  for (std::size_t k = 0; k < num_users_; ++k) {
+    const double* relay_inv = nullptr;
+    for (std::size_t m = 0; m < num_servers_; ++m) {
+      const std::size_t cell = m * num_users_ + k;
+      if (assoc_[cell]) continue;
+      if (!relay_inv) {
+        relay_inv = &inv_eff_[cell];
+      } else if (std::bit_cast<std::uint64_t>(inv_eff_[cell]) !=
+                 std::bit_cast<std::uint64_t>(*relay_inv)) {
+        throw std::invalid_argument(
+            "PlacementProblem: owned inv_eff entries of local user " +
+            std::to_string(k) +
+            " differ across its non-associated servers (one relay rate per user)");
+      }
+    }
+  }
   data.server_ids = server_ids_;  // keep the bundle self-describing
   data.user_ids = user_ids_;
   owned_ = std::make_shared<const OwnedProblemData>(std::move(data));
@@ -192,10 +202,39 @@ void PlacementProblem::build_links() {
   }
 }
 
+namespace {
+
+struct KeyedEntry {
+  std::size_t key;
+  HitEntry entry;
+};
+
+// Groups `keyed` by key into sentinel-terminated runs of one flat array,
+// keeping input order within a key: a non-empty key's run starts at
+// starts[c] and is followed by a sentinel; empty keys start at the shared
+// sentinel in slot 0.
+void build_lists(const std::vector<KeyedEntry>& keyed, std::size_t num_keys,
+                 std::vector<std::size_t>& starts, std::vector<HitEntry>& entries) {
+  std::vector<std::size_t> counts(num_keys, 0);
+  for (const KeyedEntry& e : keyed) ++counts[e.key];
+  starts.assign(num_keys, 0);
+  std::size_t next = 1;
+  for (std::size_t c = 0; c < num_keys; ++c) {
+    if (counts[c] == 0) continue;
+    starts[c] = next;
+    next += counts[c] + 1;
+  }
+  entries.assign(next, HitEntry{kInvalidId, 0.0});
+  std::vector<std::size_t> cursor = starts;
+  for (const KeyedEntry& e : keyed) entries[cursor[e.key]++] = e.entry;
+}
+
+}  // namespace
+
 void PlacementProblem::build_hit_lists() {
-  // Hit lists over the sparse p > 0 request support: user-major so each
-  // (m, i) list collects users in ascending local order.
-  hit_lists_.assign(num_servers_ * num_models_, {});
+  // One user-major pass over the sparse p > 0 request support collects the
+  // direct and relay entries in ascending local user order; build_lists then
+  // groups them per (m, i) and per model, keeping that order.
   struct Row {
     ModelId model;
     double mass;
@@ -204,6 +243,8 @@ void PlacementProblem::build_hit_lists() {
   };
   std::vector<Row> rows;
   std::vector<char> row_reachable;
+  std::vector<KeyedEntry> direct;
+  std::vector<KeyedEntry> relay;
   total_mass_ = 0.0;
   reachable_mass_ = 0.0;
   for (std::size_t k = 0; k < num_users_; ++k) {
@@ -217,18 +258,31 @@ void PlacementProblem::build_hit_lists() {
       rows.push_back(Row{i, p, payload_bits_[i], budget});
     }
     row_reachable.assign(rows.size(), 0);
+    // User k's relay rate, shared by all its non-associated cells; stays
+    // +inf when every view server is associated with k (no relay server).
+    double relay_inv = kInf;
     for (std::size_t m = 0; m < num_servers_; ++m) {
       const double inv = inv_eff_[m * num_users_ + k];
+      if (!assoc_[m * num_users_ + k]) {
+        relay_inv = inv;
+        continue;
+      }
       if (inv == kInf) continue;
-      const bool direct = assoc_[m * num_users_ + k] != 0;
       for (std::size_t r = 0; r < rows.size(); ++r) {
         const Row& row = rows[r];
-        const double latency = direct
-                                   ? row.bits * inv
-                                   : row.bits / backhaul_bps_ + row.bits * inv;
-        if (latency <= row.budget_s) {
-          hit_lists_[m * num_models_ + row.model].push_back(
-              HitEntry{static_cast<UserId>(k), row.mass});
+        if (row.bits * inv <= row.budget_s) {
+          direct.push_back(KeyedEntry{m * num_models_ + row.model,
+                                      HitEntry{static_cast<UserId>(k), row.mass}});
+          row_reachable[r] = 1;
+        }
+      }
+    }
+    if (relay_inv != kInf) {
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        const Row& row = rows[r];
+        if (row.bits / backhaul_bps_ + row.bits * relay_inv <= row.budget_s) {
+          relay.push_back(
+              KeyedEntry{row.model, HitEntry{static_cast<UserId>(k), row.mass}});
           row_reachable[r] = 1;
         }
       }
@@ -237,6 +291,8 @@ void PlacementProblem::build_hit_lists() {
       if (row_reachable[r]) reachable_mass_ += rows[r].mass;
     }
   }
+  build_lists(direct, num_servers_ * num_models_, direct_starts_, direct_entries_);
+  build_lists(relay, num_models_, relay_starts_, relay_entries_);
 }
 
 bool PlacementProblem::eligible(ServerId m, UserId k, ModelId i) const {
@@ -265,18 +321,6 @@ std::span<const double> PlacementProblem::inverse_effective_rates(ServerId m) co
 std::span<const char> PlacementProblem::associations(ServerId m) const {
   if (m >= num_servers_) throw std::out_of_range("PlacementProblem::associations");
   return {assoc_.data() + static_cast<std::size_t>(m) * num_users_, num_users_};
-}
-
-std::span<const HitEntry> PlacementProblem::hit_list(ServerId m, ModelId i) const {
-  if (!hit_lists_built_) {
-    throw std::logic_error(
-        "PlacementProblem::hit_list: LinksOnly view has no hit lists — it only "
-        "serializes");
-  }
-  if (m >= num_servers_ || i >= num_models_) {
-    throw std::out_of_range("PlacementProblem::hit_list");
-  }
-  return hit_lists_[static_cast<std::size_t>(m) * num_models_ + i];
 }
 
 }  // namespace trimcaching::core

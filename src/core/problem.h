@@ -14,6 +14,19 @@
 //     marginal-gain computation;
 //   * the storage side: library block structure and server capacities.
 //
+// Hit-list storage is factored. A server reaches a user it is not
+// associated with over the backhaul plus that user's best covering link
+// (Eqs. 4–5), and that relay path depends only on (k, i), not on which
+// server holds the model. So the problem keeps two tables, each one offsets
+// array into one flat entry array: direct entries per (m, i), over the
+// users associated with m that pass the direct test, and one relay list per
+// model i, over the users that pass the relay test and have at least one
+// non-associated view server. hit_list(m, i) is the ascending-user merge of
+// direct(m, i) with relay(i), skipping relay users associated with m —
+// exactly the (user, mass) sequence a per-server list would hold, so every
+// sum over it keeps its order. Storage is O(direct + distinct relay pairs)
+// instead of O(M · relay pairs).
+//
 // Sub-views (the tiling engine, sim/tiler.h): the second constructor
 // restricts the instance to explicit server/user subsets while *sharing* the
 // topology / library / requests storage — nothing is copied or re-sampled.
@@ -21,6 +34,8 @@
 // global_server() / global_user() translate back. The model axis is never
 // restricted: every view sees the full library. Algorithms are oblivious to
 // views — they only consume local dimensions, hit lists and capacities.
+// With factored lists a view costs little beyond its M × K link arrays, so
+// the distributed-tile coordinator serializes ordinary sub-views.
 //
 // The problem borrows (does not own) topology / library / requests; keep
 // them alive for the problem's lifetime (sim::Scenario does).
@@ -37,8 +52,12 @@
 // borrowed views index the shared global model via global_user().
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "src/model/model_library.h"
@@ -52,6 +71,79 @@ namespace trimcaching::core {
 struct HitEntry {
   UserId user = 0;  ///< view-local user id
   double mass = 0.0;  ///< p_{k,i}
+};
+
+/// The users placement x_{m,i} = 1 can serve, in ascending user order: a
+/// forward range merging server m's direct entries for model i with model
+/// i's shared relay entries, skipping relay users associated with m. The two
+/// inputs are disjoint (direct users are associated with m), so the merge is
+/// exactly one entry per servable user. Yields HitEntry by value.
+///
+/// Both inputs end in a sentinel entry whose user is kInvalidId, which sorts
+/// after every real user: the merge compares the two heads without bounds
+/// checks, and the range ends when both heads are sentinels.
+class HitRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = HitEntry;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = HitEntry;
+
+    iterator() = default;
+    iterator(const HitEntry* direct, const HitEntry* relay, const char* assoc)
+        : direct_(direct), relay_(relay), assoc_(assoc) {
+      skip_associated();
+    }
+
+    HitEntry operator*() const {
+      return direct_->user < relay_->user ? *direct_ : *relay_;
+    }
+    iterator& operator++() {
+      if (direct_->user < relay_->user) {
+        ++direct_;
+      } else {
+        ++relay_;
+        skip_associated();
+      }
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const iterator& other) const {
+      return direct_ == other.direct_ && relay_ == other.relay_;
+    }
+    bool operator==(std::default_sentinel_t) const {
+      return std::min(direct_->user, relay_->user) == kInvalidId;
+    }
+
+   private:
+    void skip_associated() {
+      while (relay_->user != kInvalidId && assoc_[relay_->user]) ++relay_;
+    }
+
+    const HitEntry* direct_ = nullptr;
+    const HitEntry* relay_ = nullptr;
+    const char* assoc_ = nullptr;  // associations(m), indexed by user
+  };
+
+  /// `direct` and `relay` point at sentinel-terminated entry runs.
+  HitRange(const HitEntry* direct, const HitEntry* relay, const char* assoc)
+      : direct_(direct), relay_(relay), assoc_(assoc) {}
+
+  [[nodiscard]] iterator begin() const { return {direct_, relay_, assoc_}; }
+  [[nodiscard]] std::default_sentinel_t end() const { return {}; }
+  [[nodiscard]] bool empty() const { return begin() == end(); }
+
+ private:
+  const HitEntry* direct_;
+  const HitEntry* relay_;
+  const char* assoc_;
 };
 
 /// Everything an owning PlacementProblem needs, with no topology behind it.
@@ -89,24 +181,13 @@ class PlacementProblem {
                    const workload::RequestModel& requests,
                    std::vector<ServerId> servers, std::vector<UserId> users);
 
-  /// Tag for a links-only sub-view: per-(m, k) link arrays are built, the
-  /// per-(m, i) hit lists — the dominant allocation by far — are not. Enough
-  /// for io::serialize_tile_view (which ships only links + raw request rows;
-  /// the worker rebuilds hit lists from the bundle), useless for solvers:
-  /// hit_list() throws, total_mass() / reachable_mass() read 0. This is what
-  /// keeps the distributed-tile coordinator's footprint below the in-process
-  /// solve — it never materializes any tile's hit lists.
-  struct LinksOnly {};
-  PlacementProblem(const wireless::NetworkTopology& topology,
-                   const model::ModelLibrary& library,
-                   const workload::RequestModel& requests,
-                   std::vector<ServerId> servers, std::vector<UserId> users,
-                   LinksOnly);
-
   /// Owning instance over a self-contained data bundle (no topology): the
   /// deserialized-tile path of the out-of-process solver workers. Hit lists
   /// are rebuilt from the bundle's link arrays with the exact arithmetic of
-  /// the borrowed constructors, so solver outcomes are bit-identical.
+  /// the borrowed constructors, so solver outcomes are bit-identical. Each
+  /// user's relay rate is read from its non-associated inv_eff entries;
+  /// throws std::invalid_argument when those differ (a borrowed problem
+  /// always writes one best-relay rate per user).
   explicit PlacementProblem(OwnedProblemData data);
 
   [[nodiscard]] std::size_t num_servers() const noexcept { return num_servers_; }
@@ -185,12 +266,17 @@ class PlacementProblem {
   [[nodiscard]] double payload_bits(ModelId i) const { return payload_bits_.at(i); }
   [[nodiscard]] double backhaul_bps() const noexcept { return backhaul_bps_; }
 
-  /// True unless this is a LinksOnly serialization view.
-  [[nodiscard]] bool has_hit_lists() const noexcept { return hit_lists_built_; }
-
-  /// Users servable by placing model i on server m, with their request mass.
-  /// Throws std::logic_error on LinksOnly views.
-  [[nodiscard]] std::span<const HitEntry> hit_list(ServerId m, ModelId i) const;
+  /// Users servable by placing model i on server m, with their request
+  /// mass, in ascending user order (see HitRange).
+  [[nodiscard]] HitRange hit_list(ServerId m, ModelId i) const {
+    if (m >= num_servers_ || i >= num_models_) {
+      throw std::out_of_range("PlacementProblem::hit_list");
+    }
+    const std::size_t cell = static_cast<std::size_t>(m) * num_models_ + i;
+    return HitRange(direct_entries_.data() + direct_starts_[cell],
+                    relay_entries_.data() + relay_starts_[i],
+                    assoc_.data() + static_cast<std::size_t>(m) * num_users_);
+  }
 
   /// Σ_k Σ_i p_{k,i} over this instance's users — the denominator of U(X).
   [[nodiscard]] double total_mass() const noexcept { return total_mass_; }
@@ -233,8 +319,14 @@ class PlacementProblem {
   std::vector<double> compute_caps_;  // per local server; +inf = unconstrained
   bool compute_constrained_ = false;
 
-  std::vector<std::vector<HitEntry>> hit_lists_;    // per (m, i)
-  bool hit_lists_built_ = true;                     // false on LinksOnly views
+  // Factored hit lists, each a start offset into one flat entry array:
+  // direct entries per (m, i) cell m * I + i, relay entries per model i.
+  // Every list ascends by user and ends in a sentinel (user kInvalidId);
+  // empty lists all start at the shared sentinel in slot 0 (see HitRange).
+  std::vector<std::size_t> direct_starts_;  // M * I
+  std::vector<HitEntry> direct_entries_;
+  std::vector<std::size_t> relay_starts_;   // I
+  std::vector<HitEntry> relay_entries_;
   double total_mass_ = 0.0;
   double reachable_mass_ = 0.0;
 };

@@ -144,9 +144,8 @@ void solve_tiles_distributed(const ScenarioTiler& tiler, const TilerConfig& conf
     job.view_path = scratch.path + "/tile_" + std::to_string(t) + ".view";
     job.result_path = scratch.path + "/tile_" + std::to_string(t) + ".result";
     {
-      // Build, serialize, release: exactly one tile sub-view is live here,
-      // and it is links-only — the coordinator never pays for hit lists.
-      const core::PlacementProblem problem = tiler.tile_link_view(t);
+      // Build, serialize, release: exactly one tile sub-view is live here.
+      const core::PlacementProblem problem = tiler.tile_problem(t);
       io::write_tile_view(job.view_path, header, problem);
     }
     jobs.push_back(std::move(job));
@@ -305,16 +304,6 @@ core::PlacementProblem ScenarioTiler::tile_problem(std::size_t t) const {
   }
   return core::PlacementProblem(scenario_->topology, scenario_->library,
                                 scenario_->requests, tile.servers, tile.users);
-}
-
-core::PlacementProblem ScenarioTiler::tile_link_view(std::size_t t) const {
-  const Tile& tile = tiles_.at(t);
-  if (tile.servers.empty() || tile.users.empty()) {
-    throw std::invalid_argument("ScenarioTiler::tile_link_view: empty tile");
-  }
-  return core::PlacementProblem(scenario_->topology, scenario_->library,
-                                scenario_->requests, tile.servers, tile.users,
-                                core::PlacementProblem::LinksOnly{});
 }
 
 TiledSolveResult ScenarioTiler::solve(const std::string& solver_spec,

@@ -167,13 +167,6 @@ class ScenarioTiler {
   /// non-empty). Exposed for tests and custom drivers.
   [[nodiscard]] core::PlacementProblem tile_problem(std::size_t t) const;
 
-  /// Links-only variant of tile_problem(): skips the hit-list build, which
-  /// dominates a view's footprint. All the workers=N serialization path
-  /// needs — the coordinator never materializes any tile's hit lists (the
-  /// worker rebuilds them from the shipped link arrays), which is where its
-  /// memory headroom over the in-process solve comes from.
-  [[nodiscard]] core::PlacementProblem tile_link_view(std::size_t t) const;
-
   /// Solves every tile with a fresh `solver_spec` registry solver and
   /// stitches the tile placements into one global solution. Tile t's solver
   /// seed derives counter-based from (seed, t). `threads` overrides the

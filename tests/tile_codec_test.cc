@@ -11,6 +11,7 @@
 //     crash) — the coordinator survives any bad worker output.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -165,8 +166,10 @@ TEST(TileCodec, ViewRoundTripReproducesTheSubViewBitwise) {
       EXPECT_EQ(owned.request_probability(k, 0), view.request_probability(k, 0));
     }
     for (ModelId i = 0; i < view.num_models(); ++i) {
-      const auto owned_hits = owned.hit_list(m, i);
-      const auto view_hits = view.hit_list(m, i);
+      std::vector<core::HitEntry> owned_hits;
+      for (const core::HitEntry& entry : owned.hit_list(m, i)) owned_hits.push_back(entry);
+      std::vector<core::HitEntry> view_hits;
+      for (const core::HitEntry& entry : view.hit_list(m, i)) view_hits.push_back(entry);
       ASSERT_EQ(owned_hits.size(), view_hits.size()) << "m=" << m << " i=" << i;
       for (std::size_t e = 0; e < view_hits.size(); ++e) {
         EXPECT_EQ(owned_hits[e].user, view_hits[e].user);
@@ -203,24 +206,57 @@ TEST(TileCodec, SolversAreBitIdenticalOnTheDeserializedProblem) {
   }
 }
 
-TEST(TileCodec, LinksOnlyViewSerializesToIdenticalBytes) {
-  // The distributed coordinator serializes from a LinksOnly sub-view (no
-  // hit lists — the memory win). The bytes must be identical to serializing
-  // the full borrowed view: the format ships only links + raw request rows,
-  // and the worker rebuilds hit lists itself.
+TEST(TileCodec, OwnedBundleWithInconsistentRelayRatesIsRejected) {
+  // The owned problem prices each user's relay once, from its
+  // non-associated inv_eff cells; a bundle where those cells disagree cannot
+  // come from a borrowed view and must fail loudly, naming the array.
   const sim::Scenario scenario = tiny_scenario(47);
-  const std::vector<ServerId> servers = {0, 2};
+  const std::vector<ServerId> servers = {0, 1, 2, 3};
   const std::vector<UserId> users = {1, 4, 5, 9, 10};
-  const core::PlacementProblem full(scenario.topology, scenario.library,
+  const core::PlacementProblem view(scenario.topology, scenario.library,
                                     scenario.requests, servers, users);
-  const core::PlacementProblem links_only(scenario.topology, scenario.library,
-                                          scenario.requests, servers, users,
-                                          core::PlacementProblem::LinksOnly{});
-  EXPECT_TRUE(full.has_hit_lists());
-  EXPECT_FALSE(links_only.has_hit_lists());
-  EXPECT_THROW((void)links_only.hit_list(0, 0), std::logic_error);
-  EXPECT_EQ(serialize_tile_view(sample_header(), links_only),
-            serialize_tile_view(sample_header(), full));
+  const std::string bytes = serialize_tile_view(sample_header(), view);
+  const std::size_t M = view.num_servers();
+  const std::size_t K = view.num_users();
+
+  // Pick a user with two non-associated view servers and skew one cell.
+  std::size_t target = K * M;
+  for (std::size_t k = 0; k < K && target == K * M; ++k) {
+    std::size_t first = M;
+    for (std::size_t m = 0; m < M; ++m) {
+      if (view.associations(static_cast<ServerId>(m))[k]) continue;
+      if (first == M) {
+        first = m;
+      } else {
+        target = m * K + k;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(target, K * M) << "no user with two non-associated servers";
+
+  TileView consistent = parse_tile_view(bytes);
+  EXPECT_NO_THROW((void)core::PlacementProblem(std::move(consistent.data)));
+
+  // One ulp is enough: the cells must agree bit for bit.
+  TileView skewed = parse_tile_view(bytes);
+  skewed.data.inv_eff[target] = std::nextafter(skewed.data.inv_eff[target], 0.0);
+  try {
+    (void)core::PlacementProblem(std::move(skewed.data));
+    FAIL() << "differing non-associated inv_eff entries must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("inv_eff"), std::string::npos) << e.what();
+  }
+
+  // Associated cells are per-link rates and may differ freely.
+  TileView direct_skew = parse_tile_view(bytes);
+  for (std::size_t c = 0; c < M * K; ++c) {
+    if (direct_skew.data.assoc[c]) {
+      direct_skew.data.inv_eff[c] *= 2.0;
+      break;
+    }
+  }
+  EXPECT_NO_THROW((void)core::PlacementProblem(std::move(direct_skew.data)));
 }
 
 // --------------------------------------------- joint compute forward compat
