@@ -32,10 +32,11 @@
 // (completed downloads per second), all emitted when >= 0; its hit_ratio
 // column carries the *empirical* deadline-hit ratio of the replay and is
 // drop-gated by bench_diff metric=hit_ratio. Its fault-injection legs
-// additionally record the failure columns `failovers` / `aborted` (terminal
-// counts from the outage replay) and `rewarm_s` (mean recovery -> cache
-// re-warm transient in seconds), all emitted when >= 0 so fault-free
-// records stay byte-identical to the pre-fault schema. Memory-sensitive variants
+// additionally record the failure columns `failovers` (arrival reroutes plus
+// in-flight rescues, see the field) / `aborted` (a terminal count) and
+// `rewarm_s` (mean recovery -> cache re-warm transient in seconds), all
+// emitted when >= 0 so fault-free records stay byte-identical to the
+// pre-fault schema. Memory-sensitive variants
 // (fig8_scale's distributed-tiles comparison) record `peak_rss_mb` — the
 // variant's peak resident set in MB, sampled by support/resource.h —
 // emitted when >= 0 and rise-gated by bench_diff metric=rss.
@@ -77,10 +78,14 @@ struct JsonRecord {
   double peak_rss_mb = -1.0;         ///< peak resident set during the variant,
                                      ///< MB (support/resource.h); < 0 = n/a.
                                      ///< Gated rising by bench_diff metric=rss.
-  double failovers = -1.0;           ///< failover events in the outage replay
-                                     ///< (arrival reroutes + in-flight flows
-                                     ///< rescued by a surviving warm
-                                     ///< holder); < 0 = n/a
+  double failovers = -1.0;           ///< failover events in the outage
+                                     ///< replay: ServeMetrics::failovers
+                                     ///< (arrivals rerouted off a down
+                                     ///< primary, a bookkeeping counter) +
+                                     ///< ServeMetrics::failed_over (in-flight
+                                     ///< flows rescued by a surviving warm
+                                     ///< holder, a terminal state); fig9
+                                     ///< logs both parts; < 0 = n/a
   double aborted = -1.0;             ///< in-flight flows killed with no
                                      ///< surviving holder; < 0 = n/a
   double rewarm_s = -1.0;            ///< mean recovery -> re-warm transient,

@@ -1,8 +1,37 @@
 #include "src/core/objective.h"
 
 #include <stdexcept>
+#include <type_traits>
 
 namespace trimcaching::core {
+
+namespace {
+
+/// The canonical charge walk over hit list (m, i), the one place the joint
+/// objective decides whether a request is served: every still-uncovered
+/// entry is served iff it fits server m's remaining compute headroom,
+/// load + p·c <= C_m. Each served entry's mass is added to `mass` in list
+/// order, so every caller's sum keeps its summation order. With Commit the
+/// served entries are marked in `covered` (dense I x K, model-major);
+/// without it `covered` is only read and `load` is the caller's scratch copy.
+template <bool Commit>
+void charge_walk(const PlacementProblem& problem, ServerId m, ModelId i,
+                 std::conditional_t<Commit, char, const char>* covered,
+                 double& load, double& mass) {
+  const double cap = problem.compute_capacity(m);
+  const std::size_t row = static_cast<std::size_t>(i) * problem.num_users();
+  for (const HitEntry& entry : problem.hit_list(m, i)) {
+    if (covered[row + entry.user]) continue;
+    const double charge = entry.mass * problem.compute_cost(entry.user, i);
+    if (load + charge <= cap) {
+      if constexpr (Commit) covered[row + entry.user] = 1;
+      load += charge;
+      mass += entry.mass;
+    }
+  }
+}
+
+}  // namespace
 
 double expected_hit_ratio(const PlacementProblem& problem,
                           const PlacementSolution& placement) {
@@ -27,29 +56,16 @@ JointEvaluation evaluate_joint(const PlacementProblem& problem,
       placement.num_models() != problem.num_models()) {
     throw std::invalid_argument("evaluate_joint: dimension mismatch");
   }
-  const std::size_t num_users = problem.num_users();
-  const std::size_t num_models = problem.num_models();
   JointEvaluation eval;
   eval.server_loads.assign(problem.num_servers(), 0.0);
   // The canonical assignment: servers ascending, placed models ascending,
-  // hit-list entries ascending by user (the lists are built that way). Every
-  // joint evaluator in the tree must reproduce this walk exactly.
-  std::vector<char> covered(num_users * num_models, 0);
+  // hit-list entries ascending by user (the lists are built that way).
+  std::vector<char> covered(problem.num_users() * problem.num_models(), 0);
   for (ServerId m = 0; m < problem.num_servers(); ++m) {
-    const double cap = problem.compute_capacity(m);
-    double& load = eval.server_loads[m];
-    for (ModelId i = 0; i < num_models; ++i) {
+    for (ModelId i = 0; i < problem.num_models(); ++i) {
       if (!placement.placed(m, i)) continue;
-      for (const HitEntry& entry : problem.hit_list(m, i)) {
-        char& flag = covered[static_cast<std::size_t>(i) * num_users + entry.user];
-        if (flag) continue;
-        const double charge = entry.mass * problem.compute_cost(entry.user, i);
-        if (load + charge <= cap) {
-          flag = 1;
-          load += charge;
-          eval.hit_mass += entry.mass;
-        }
-      }
+      charge_walk<true>(problem, m, i, covered.data(), eval.server_loads[m],
+                        eval.hit_mass);
     }
   }
   return eval;
@@ -128,26 +144,14 @@ CoverageState::CoverageState(const PlacementProblem& problem)
 }
 
 double CoverageState::marginal_mass(ServerId m, ModelId i) const {
+  double gain = 0.0;
   if (compute_constrained_) {
-    // Simulate the commit walk: serve uncovered entries in list order while
-    // they fit the server's remaining compute headroom. Matches add() below
-    // charge for charge, so the gain a driver acts on is the gain it gets.
-    const double cap = problem_->compute_capacity(m);
+    // Simulates add()'s walk on a copy of the load, so the gain a driver
+    // acts on is the gain it gets.
     double load = loads_[m];
-    double gain = 0.0;
-    for (const HitEntry& entry : problem_->hit_list(m, i)) {
-      if (covered_[static_cast<std::size_t>(i) * problem_->num_users() + entry.user]) {
-        continue;
-      }
-      const double charge = entry.mass * problem_->compute_cost(entry.user, i);
-      if (load + charge <= cap) {
-        load += charge;
-        gain += entry.mass;
-      }
-    }
+    charge_walk<false>(*problem_, m, i, covered_.data(), load, gain);
     return gain;
   }
-  double gain = 0.0;
   for (const HitEntry& entry : problem_->hit_list(m, i)) {
     if (!covered_[static_cast<std::size_t>(i) * problem_->num_users() + entry.user]) {
       gain += entry.mass;
@@ -182,19 +186,7 @@ double CoverageState::marginal_gain(ServerId m, ModelId i) const {
 
 void CoverageState::add(ServerId m, ModelId i) {
   if (compute_constrained_) {
-    const double cap = problem_->compute_capacity(m);
-    double& load = loads_[m];
-    for (const HitEntry& entry : problem_->hit_list(m, i)) {
-      char& flag =
-          covered_[static_cast<std::size_t>(i) * problem_->num_users() + entry.user];
-      if (flag) continue;
-      const double charge = entry.mass * problem_->compute_cost(entry.user, i);
-      if (load + charge <= cap) {
-        flag = 1;
-        load += charge;
-        hit_mass_ += entry.mass;
-      }
-    }
+    charge_walk<true>(*problem_, m, i, covered_.data(), loads_[m], hit_mass_);
     return;
   }
   for (const HitEntry& entry : problem_->hit_list(m, i)) {

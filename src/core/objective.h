@@ -31,12 +31,13 @@ namespace trimcaching::core {
 /// holder m has the bytes cached (x_{m,i} = 1, I1(m,k,i) = 1) *and* enough
 /// compute headroom to run the expected inference load p_{k,i} · c_{k,i}.
 ///
-/// Which holder serves which request is pinned by the *canonical assignment*
-/// so every implementation (core, sim::EvalPlan, tiled, worker processes)
-/// agrees bit for bit: walk servers m in ascending id order, models i in
-/// ascending id order where x_{m,i} = 1, then the (m, i) hit list in
-/// ascending user order; serve a still-uncovered pair iff
-/// load_m + p·c <= C_m, committing the charge. Feasibility
+/// Which holder serves which request is pinned by the *canonical assignment*:
+/// walk servers m in ascending id order, models i in ascending id order where
+/// x_{m,i} = 1, then the (m, i) hit list in ascending user order; serve a
+/// still-uncovered pair iff load_m + p·c <= C_m, committing the charge.
+/// objective.cc implements that per-(m, i) walk once; this function,
+/// CoverageState and therefore sim::Evaluator, tiled solves and worker
+/// processes all run it, so joint results agree bit for bit. Feasibility
 /// (server_loads[m] <= compute_capacity(m)) holds by construction, and with
 /// every capacity at +inf the result equals the storage-only union exactly.
 struct JointEvaluation {
@@ -48,8 +49,18 @@ struct JointEvaluation {
 
 /// Coverage tracker with *removal* support: per-(k,i) cover counts instead
 /// of booleans. Used by search procedures that backtrack or undo placements
-/// (exact branch-and-bound, local-search swaps). Slightly heavier than
-/// CoverageState, which greedy-only algorithms should prefer.
+/// (exact branch-and-bound, local-search swaps). Storage-only: it ignores
+/// compute capacity.
+///
+/// It stays a separate class from CoverageState for two reasons:
+///   * removal cannot undo compute charges. Under the joint constraint
+///     whether an entry is served depends on the order of earlier adds
+///     (each one shrinks its server's headroom), so taking (m, i) back out
+///     can re-admit entries a count cannot name without replaying the walk;
+///   * the counts are int32, four times the byte-per-cell flags of
+///     CoverageState. Every greedy driver pays for one I x K tracker, so
+///     folding the counts in would quadruple that footprint for callers
+///     that never remove anything.
 class CountedCoverage {
  public:
   explicit CountedCoverage(const PlacementProblem& problem);

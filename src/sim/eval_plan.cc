@@ -94,17 +94,8 @@ EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
       const double budget = requests.deadline_s(k, i) - requests.inference_s(k, i);
       if (budget <= 0.0) continue;
       rows_.push_back(Row{i, p, payload_bits[i], budget});
-      row_cost_.push_back(requests.compute_cost(k, i));
     }
     row_offsets_[k + 1] = rows_.size();
-  }
-
-  // Joint-constraint snapshot (position-independent, so mobility deltas
-  // never touch it).
-  compute_constrained_ = topology.compute_constrained();
-  compute_caps_.assign(num_servers_, kInf);
-  for (ServerId m = 0; m < num_servers_; ++m) {
-    compute_caps_[m] = topology.compute_capacity(m);
   }
 }
 
@@ -438,83 +429,7 @@ void EvalPlan::hit_ratio_lowered_block4(const PlacementLowering& lowering,
 
 double EvalPlan::expected_hit_ratio(const core::PlacementSolution& placement) const {
   check_placement(placement);
-  if (compute_constrained_) return expected_hit_ratio_joint(placement);
   return hit_ratio(placement, avg_inv_rate_.data());
-}
-
-double EvalPlan::expected_hit_ratio_joint(
-    const core::PlacementSolution& placement) const {
-  // The canonical joint assignment of core::evaluate_joint replayed over the
-  // arena: servers ascending, placed models ascending, users ascending; a
-  // still-uncovered eligible pair is served iff the holder has compute
-  // headroom for mass * cost. Bit-identity with the core evaluator rests on
-  // (a) the same per-(m, k) latency inputs PlacementProblem::build_links
-  // derives — rebuilt here from the link spans — and (b) accumulating mass
-  // and load in the identical order with identical charges.
-  const std::size_t M = num_servers_;
-  const std::size_t K = num_users_;
-  const std::size_t I = num_models_;
-
-  // Per-(m, k) inverse effective rate and association: direct links take
-  // their own average inverse rate, everything else falls back to the best
-  // covering link (the Eq. 5 relay head).
-  std::vector<double> inv_eff(M * K, kInf);
-  std::vector<char> assoc(M * K, 0);
-  for (UserId k = 0; k < K; ++k) {
-    double relay_inv = kInf;
-    for (std::size_t l = link_offsets_[k]; l < link_offsets_[k + 1]; ++l) {
-      relay_inv = std::min(relay_inv, avg_inv_rate_[l]);
-    }
-    for (std::size_t m = 0; m < M; ++m) inv_eff[m * K + k] = relay_inv;
-    for (std::size_t l = link_offsets_[k]; l < link_offsets_[k + 1]; ++l) {
-      const std::size_t m = link_server_[l];
-      assoc[m * K + k] = 1;
-      inv_eff[m * K + k] = avg_inv_rate_[l];
-    }
-  }
-
-  // Model-major row lookup so the walk can visit users in ascending order
-  // per (m, i); the covered flags share the same i * K + k layout the core
-  // evaluator uses.
-  std::vector<std::int32_t> row_of(I * K, -1);
-  for (UserId k = 0; k < K; ++k) {
-    for (std::size_t r = row_offsets_[k]; r < row_offsets_[k + 1]; ++r) {
-      row_of[static_cast<std::size_t>(rows_[r].model) * K + k] =
-          static_cast<std::int32_t>(r);
-    }
-  }
-  std::vector<char> covered(I * K, 0);
-
-  double hit_mass = 0.0;
-  for (std::size_t m = 0; m < M; ++m) {
-    const double cap = compute_caps_[m];
-    double load = 0.0;
-    for (ModelId i = 0; i < I; ++i) {
-      if (!placement.placed(m, i)) continue;
-      for (UserId k = 0; k < K; ++k) {
-        const std::int32_t r = row_of[static_cast<std::size_t>(i) * K + k];
-        if (r < 0) continue;
-        const double inv = inv_eff[m * K + k];
-        if (inv == kInf) continue;
-        const Row& row = rows_[static_cast<std::size_t>(r)];
-        const double latency = assoc[m * K + k]
-                                   ? row.payload_bits * inv
-                                   : row.payload_bits / backhaul_bps_ +
-                                         row.payload_bits * inv;
-        if (latency > row.budget_s) continue;  // Eq. 3 eligibility
-        char& flag = covered[static_cast<std::size_t>(i) * K + k];
-        if (flag) continue;
-        const double charge =
-            row.probability * row_cost_[static_cast<std::size_t>(r)];
-        if (load + charge <= cap) {
-          flag = 1;
-          load += charge;
-          hit_mass += row.probability;
-        }
-      }
-    }
-  }
-  return total_mass_ > 0 ? hit_mass / total_mass_ : 0.0;
 }
 
 support::Summary EvalPlan::fading_hit_ratio(const core::PlacementSolution& placement,

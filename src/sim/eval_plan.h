@@ -17,6 +17,11 @@
 // loops over these arrays with one reusable per-thread inverse-rate scratch
 // buffer — no per-realization allocation.
 //
+// Both are the storage-only objective: the plan holds no compute state and
+// ignores compute capacities. The joint caching + compute objective has one
+// owner, core::evaluate_joint; sim::Evaluator routes compute-constrained
+// topologies there.
+//
 // Determinism contract: realization r draws its gains from
 // rng.at(kFadingStream, r), a counter-based stream that depends only on the
 // base Rng's seed — never on call order or thread count. Hence
@@ -115,15 +120,13 @@ class EvalPlan {
   /// The NetworkTopology::revision() this plan was built from.
   [[nodiscard]] std::uint64_t topology_revision() const noexcept { return revision_; }
 
-  /// Expected hit ratio under average rates (Eq. 2 on this snapshot). When
-  /// the topology is compute-constrained this is the *joint* objective: the
-  /// canonical greedy compute assignment of core::evaluate_joint replayed
-  /// over this arena, bit-identical to the core evaluator on the same
-  /// snapshot (same walk order, same latency arithmetic, same charges).
+  /// Storage-only expected hit ratio under average rates (Eq. 2 on this
+  /// snapshot). Ignores compute capacity.
   [[nodiscard]] double expected_hit_ratio(const core::PlacementSolution& placement) const;
 
-  /// Monte-Carlo hit ratio over Rayleigh fading realizations, sharded over
-  /// up to `threads` pool workers (0 = hardware concurrency, 1 = inline).
+  /// Storage-only Monte-Carlo hit ratio over Rayleigh fading realizations
+  /// (ignores compute capacity), sharded over up to `threads` pool workers
+  /// (0 = hardware concurrency, 1 = inline).
   /// Bit-identical for any thread count under every kernel; does not advance
   /// `rng`. Maintains the placement-lowering cache, so concurrent calls on
   /// the SAME EvalPlan are not safe (distinct plans, as the Monte-Carlo
@@ -193,13 +196,6 @@ class EvalPlan {
   [[nodiscard]] double hit_ratio(const core::PlacementSolution& placement,
                                  const double* inv_rate) const;
 
-  /// Joint caching + compute objective under average rates: the canonical
-  /// server-major assignment (servers ascending, placed models ascending,
-  /// users ascending) with per-server compute accounting — the EvalPlan
-  /// mirror of core::evaluate_joint. Only called when compute_constrained_.
-  [[nodiscard]] double expected_hit_ratio_joint(
-      const core::PlacementSolution& placement) const;
-
   /// Batched kernel: same reduction over the pre-lowered holder lists; no
   /// placement lookups and no per-link branches on the hot path.
   [[nodiscard]] double hit_ratio_lowered(const PlacementLowering& lowering,
@@ -244,14 +240,6 @@ class EvalPlan {
   // Request rows: user k owns [row_offsets_[k], row_offsets_[k+1]).
   std::vector<std::size_t> row_offsets_;
   std::vector<Row> rows_;
-
-  // Joint-constraint snapshot: per-row compute charge-rate (parallel to
-  // rows_, so the hot Row struct keeps its layout) and per-server compute
-  // capacities (+inf = unlimited). Both position-independent: carried
-  // unchanged across apply_delta.
-  std::vector<double> row_cost_;
-  std::vector<double> compute_caps_;
-  bool compute_constrained_ = false;
 
   // apply_delta ping-pong scratch: keeps capacity across mobility slots so
   // steady-state incremental updates do not allocate.

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "src/core/objective.h"
 #include "src/support/parallel.h"
 #include "src/support/timing.h"
 
@@ -50,6 +51,13 @@ const EvalPlan& Evaluator::plan() const {
 }
 
 double Evaluator::expected_hit_ratio(const core::PlacementSolution& placement) const {
+  if (topology_->compute_constrained()) {
+    // The joint objective has one owner, core coverage. No cached problem:
+    // constrained callers evaluate once per topology snapshot or change the
+    // topology between calls.
+    return core::expected_hit_ratio(
+        core::PlacementProblem(*topology_, *library_, *requests_), placement);
+  }
   return plan().expected_hit_ratio(placement);
 }
 

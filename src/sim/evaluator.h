@@ -8,9 +8,10 @@
 // within T̄_{k,i} - t_{k,i} under the realized rates (direct, Eq. 4, or
 // relayed through the best covering server, Eq. 5).
 //
-// Evaluator is a thin façade over the flat EvalPlan arena (eval_plan.h): it
-// lazily builds a plan from the topology's *current* snapshot and keeps it
-// fresh across mobility:
+// Evaluator is a thin façade over the flat EvalPlan arena (eval_plan.h),
+// except for the joint caching + compute objective, which it hands to core
+// coverage (see expected_hit_ratio). It lazily builds a plan from the
+// topology's *current* snapshot and keeps it fresh across mobility:
 //
 //   * placement-only changes never touch the topology revision, so they
 //     never invalidate the plan — evaluating any number of different
@@ -61,17 +62,21 @@ class Evaluator {
             const workload::RequestModel& requests);
 
   /// Expected hit ratio under average rates (Eq. 2 recomputed from the
-  /// topology's current user positions).
+  /// topology's current user positions). On a compute-constrained topology
+  /// this is the joint objective, core::expected_hit_ratio on a problem
+  /// built from the current snapshot (no plan involved); otherwise the
+  /// plan's storage-only Eq. 2.
   [[nodiscard]] double expected_hit_ratio(const core::PlacementSolution& placement) const;
 
   /// Monte-Carlo hit ratio over Rayleigh fading realizations, sharded over
-  /// up to `threads` workers (0 = hardware concurrency). Bit-identical for
-  /// any thread count; `rng` is not advanced — realization r draws from a
-  /// counter-based stream keyed on (rng seed, kFadingStream, r), so
-  /// evaluating several placements against the same base Rng compares them
-  /// under identical channel draws. `kernel` selects the inner loop (see
-  /// FadingKernel); the default SIMD kernel dispatches to the widest
-  /// available backend at runtime.
+  /// up to `threads` workers (0 = hardware concurrency). Storage-only: it
+  /// ignores compute capacity, also on compute-constrained topologies.
+  /// Bit-identical for any thread count; `rng` is not advanced — realization
+  /// r draws from a counter-based stream keyed on (rng seed, kFadingStream,
+  /// r), so evaluating several placements against the same base Rng
+  /// compares them under identical channel draws. `kernel` selects the inner
+  /// loop (see FadingKernel); the default SIMD kernel dispatches to the
+  /// widest available backend at runtime.
   [[nodiscard]] support::Summary fading_hit_ratio(
       const core::PlacementSolution& placement, std::size_t realizations,
       const support::Rng& rng, std::size_t threads = 1,

@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "src/core/objective.h"
 #include "src/sim/evaluator.h"
 #include "src/support/parallel.h"
 
@@ -67,7 +68,7 @@ std::vector<SolverStats> run_comparison(const ScenarioConfig& scenario_config,
       cell.runtime = outcome.wall_seconds;
       cell.gain_evals = static_cast<double>(outcome.gain_evaluations);
       cell.iterations = static_cast<double>(outcome.iterations);
-      cell.expected = evaluator.expected_hit_ratio(outcome.placement);
+      cell.expected = core::expected_hit_ratio(problem, outcome.placement);
       cell.fading = evaluator
                         .fading_hit_ratio(outcome.placement, mc.fading_realizations,
                                           fading_base, threads)

@@ -11,6 +11,8 @@
 //     documented boundary (strictly-greater comparison);
 //   * the Evaluator never rebuilds on placement-only changes, consumes
 //     chaining deltas, and falls back to a rebuild when the chain breaks;
+//   * on compute-constrained topologies the Evaluator's Eq. 2 equals core
+//     Eq. 2 on a freshly built problem after moves and availability masks;
 //   * the batched fading kernel is bit-identical to the scalar reference.
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/objective.h"
 #include "src/core/solver_registry.h"
 #include "src/sim/eval_plan.h"
 #include "src/sim/evaluator.h"
@@ -307,6 +310,52 @@ TEST(Evaluator, ConsumesChainingDeltasAndRebuildsOtherwise) {
   scenario.topology.update_user_positions(std::move(positions));
   (void)evaluator.expected_hit_ratio(placement);
   EXPECT_EQ(evaluator.plan_stats().builds, 3u);
+}
+
+TEST(Evaluator, JointObjectiveFollowsMovesAndMasksBitwise) {
+  // On a compute-constrained topology the Evaluator scores Eq. 2 through
+  // core coverage. After user moves and after an availability mask it must
+  // equal core Eq. 2 on a problem built fresh from the mutated topology, bit
+  // for bit — a stale snapshot would keep the old value. The value must
+  // move somewhere in the grid, or staleness could not show.
+  bool moved = false;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(100 + seed);
+    ScenarioConfig config = varied_config(seed);
+    config.compute_capacity = 0.08;
+    Scenario scenario = build_scenario(config, rng);
+    ASSERT_TRUE(scenario.topology.compute_constrained());
+    const core::PlacementProblem problem = scenario.problem();
+    core::SolverContext context(rng.fork(5));
+    const auto placement =
+        core::SolverRegistry::instance().make("gen")->run(problem, context).placement;
+    const Evaluator evaluator(scenario.topology, scenario.library, scenario.requests);
+    const auto fresh_eq2 = [&] {
+      return core::expected_hit_ratio(
+          core::PlacementProblem(scenario.topology, scenario.library,
+                                 scenario.requests),
+          placement);
+    };
+    const double before = evaluator.expected_hit_ratio(placement);
+    expect_same_bits(before, fresh_eq2());
+
+    const double side = scenario.topology.area().side_m;
+    std::vector<UserMove> moves;
+    for (UserId k = 0; k < scenario.topology.num_users(); k += 2) {
+      moves.push_back(UserMove{k, Point{rng.uniform(0.0, side), rng.uniform(0.0, side)}});
+    }
+    (void)scenario.topology.apply_user_moves(moves, 1.0);
+    const double after_moves = evaluator.expected_hit_ratio(placement);
+    expect_same_bits(after_moves, fresh_eq2());
+
+    std::vector<char> up(scenario.topology.num_servers(), 1);
+    up[0] = 0;
+    scenario.topology.set_availability(up);
+    const double after_mask = evaluator.expected_hit_ratio(placement);
+    expect_same_bits(after_mask, fresh_eq2());
+    moved = moved || after_moves != before || after_mask != after_moves;
+  }
+  EXPECT_TRUE(moved) << "no move or mask changed the joint Eq. 2";
 }
 
 TEST(FadingKernels, BatchedBitIdenticalToScalarReference) {

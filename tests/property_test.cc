@@ -11,7 +11,8 @@
 //     duplicate entries per server;
 //   * objective honesty: the solver-reported hit ratio equals an
 //     independent Eq. 2 recompute — both through core::expected_hit_ratio
-//     and through the Evaluator's flat-plan arithmetic.
+//     and through the Evaluator (its flat plan when storage-only; core
+//     coverage, hence bitwise equal, when compute-constrained).
 //
 // The exact solver is exponential, so it runs on dedicated tiny instances
 // where its optimality over the greedy family is asserted as well.
@@ -297,6 +298,11 @@ TEST(SolverInvariants, EveryRegisteredSolverFeasibleAndHonestUnderComputeConstra
                          outcome.hit_ratio, label);
         check_joint_invariants(problem, outcome.placement, outcome.hit_ratio,
                                label);
+        // The Evaluator hands the joint objective to core coverage, so the
+        // two agree exactly, not just within 1e-9.
+        EXPECT_EQ(evaluator.expected_hit_ratio(outcome.placement),
+                  core::expected_hit_ratio(problem, outcome.placement))
+            << label;
         const double union_hit =
             core::expected_hit_ratio(union_problem, outcome.placement);
         EXPECT_LE(outcome.hit_ratio, union_hit + 1e-9) << label;
