@@ -1,64 +1,21 @@
 #include "src/core/independent_caching.h"
 
-#include <queue>
+#include <numeric>
 
 #include "src/core/objective.h"
+#include "src/core/storage.h"
+#include "src/core/submodular.h"
 
 namespace trimcaching::core {
 
-namespace {
-constexpr double kGainTolerance = 1e-15;
-
-struct HeapEntry {
-  double gain = 0.0;
-  ServerId server = 0;
-  ModelId model = 0;
-
-  bool operator<(const HeapEntry& other) const {
-    if (gain != other.gain) return gain < other.gain;
-    if (server != other.server) return server > other.server;
-    return model > other.model;
-  }
-};
-}  // namespace
-
 IndependentResult independent_caching(const PlacementProblem& problem) {
-  const std::size_t num_servers = problem.num_servers();
-  const std::size_t num_models = problem.num_models();
-  const model::ModelLibrary& library = problem.library();
-
-  IndependentResult result{PlacementSolution(num_servers, num_models), 0.0};
+  IndependentResult result{
+      PlacementSolution(problem.num_servers(), problem.num_models()), 0.0};
   CoverageState coverage(problem);
-  std::vector<support::Bytes> used(num_servers, 0);
-
-  // Lazy greedy; model sizes are fixed here (no dedup), so a model that does
-  // not fit can be discarded permanently.
-  std::priority_queue<HeapEntry> heap;
-  for (ServerId m = 0; m < num_servers; ++m) {
-    for (ModelId i = 0; i < num_models; ++i) {
-      const double gain = coverage.marginal_mass(m, i);
-      if (gain > kGainTolerance) heap.push(HeapEntry{gain, m, i});
-    }
-  }
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (result.placement.placed(top.server, top.model)) continue;
-    if (used[top.server] + library.model_size(top.model) >
-        problem.capacity(top.server)) {
-      continue;
-    }
-    const double fresh = coverage.marginal_mass(top.server, top.model);
-    if (fresh <= kGainTolerance) continue;
-    const double next_best = heap.empty() ? 0.0 : heap.top().gain;
-    if (fresh + kGainTolerance < next_best) {
-      heap.push(HeapEntry{fresh, top.server, top.model});
-      continue;
-    }
-    used[top.server] += library.model_size(top.model);
-    coverage.add(top.server, top.model);
-    result.placement.place(top.server, top.model);
-  }
+  std::vector<ServerId> servers(problem.num_servers());
+  std::iota(servers.begin(), servers.end(), ServerId{0});
+  auto storage = server_storage<NaiveStorage>(problem, servers, result.placement);
+  (void)lazy_greedy(problem, coverage, storage, servers, result.placement);
   result.hit_ratio = coverage.hit_ratio();
   return result;
 }

@@ -1,10 +1,11 @@
 // Independent Caching baseline (§VII-A): classical content placement that
 // treats every model as an opaque blob.
 //
-// Placement greedily maximizes the marginal hit-ratio gain under *naive*
-// storage accounting — each cached model charges its full size D_i, with no
-// block deduplication (the knapsack constraints of the femtocaching-style
-// schemes the paper cites). Because naive usage over-estimates true usage,
+// Placement is core::lazy_greedy — the same greedy maximization of U(X) as
+// TrimCaching Gen — under *naive* storage accounting (core::NaiveStorage):
+// each cached model charges its full size D_i, with no block deduplication
+// (the knapsack constraints of the femtocaching-style schemes the paper
+// cites). Because naive usage over-estimates true usage,
 // any placement feasible here is also feasible under g_m, so the comparison
 // against TrimCaching isolates the value of parameter-sharing awareness.
 #pragma once

@@ -148,9 +148,10 @@ inline constexpr double kSkippedCandidate = -1.0;
 /// not fit storage[p]. Sharding is per server — shard p writes only its own
 /// row — so results are bit-identical for every thread count; consumers run
 /// their selection as an ordered serial reduction over the filled array
-/// (trimcaching_gen's naive driver; core::greedy_refill's heap build uses
-/// the same shape with its own skip rules). `Coverage` is CoverageState or
-/// CountedCoverage (both expose marginal_mass).
+/// (trimcaching_gen's naive driver; core::lazy_greedy's heap build uses the
+/// same shape, but keeps unfit candidates and picks its sweep from its
+/// inputs). `Coverage` is CoverageState or CountedCoverage (both expose
+/// marginal_mass).
 template <typename Coverage>
 void batched_marginal_masses(const PlacementProblem& problem, const Coverage& coverage,
                              const PlacementSolution& placement,

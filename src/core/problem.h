@@ -254,7 +254,8 @@ class PlacementProblem {
   [[nodiscard]] bool eligible(ServerId m, UserId k, ModelId i) const;
 
   /// Low-level flat link views for batched eligibility sweeps
-  /// (core::greedy_refill's inverted gain build): row m holds, per
+  /// (core::lazy_greedy's inverted heap build, which prices the repair
+  /// refill from the still-uncovered demand): row m holds, per
   /// view-local user k, 1/C̄ of the delivery path — direct when
   /// associations(m)[k] is set, user k's best covering relay otherwise,
   /// +inf when no positive-rate path exists. Latency of payload D is then

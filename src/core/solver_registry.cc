@@ -1,9 +1,8 @@
 #include "src/core/solver_registry.h"
 
+#include <numeric>
 #include <stdexcept>
 #include <utility>
-
-#include <numeric>
 
 #include "src/core/baselines.h"
 #include "src/core/exact_solver.h"
@@ -161,9 +160,10 @@ class LocalSearchSolver final : public Solver {
 /// Global dedup + marginal-gain reallocation (core::repair_placement) as a
 /// composable refiner: "gen+repair" evicts copies whose global marginal gain
 /// is zero and refills the freed capacity against the global objective. As a
-/// standalone base it greedy-fills every server from scratch through the
-/// same refill machinery (a CountedCoverage twin of gen_naive). With no tile
-/// structure available here, every server is its own dedup group.
+/// standalone base it greedy-fills every server from scratch with the same
+/// lazy_greedy engine, so on storage-only problems it returns gen's
+/// placement and counters bit for bit. With no tile structure available
+/// here, every server is its own dedup group.
 class RepairSolver final : public Solver {
  public:
   explicit RepairSolver(RepairPassConfig config) : config_(config) {}
@@ -178,14 +178,10 @@ class RepairSolver final : public Solver {
     CountedCoverage coverage(problem);
     std::vector<ServerId> servers(problem.num_servers());
     std::iota(servers.begin(), servers.end(), ServerId{0});
-    std::vector<ServerStorage> storage;
-    storage.reserve(servers.size());
-    for (const ServerId m : servers) {
-      storage.emplace_back(problem.library(), problem.capacity(m));
-    }
+    auto storage = server_storage<ServerStorage>(problem, servers, placement);
     const RefillStats stats =
-        greedy_refill(problem, coverage, storage, servers, placement,
-                      RefillConfig{config_.threads, config_.gain_tolerance});
+        lazy_greedy(problem, coverage, storage, servers, placement,
+                    RefillConfig{config_.threads, config_.gain_tolerance});
     SolverOutcome outcome(std::move(placement));
     outcome.hit_ratio = coverage.hit_ratio();
     outcome.gain_evaluations = stats.gain_evaluations;
@@ -291,10 +287,10 @@ SpecConfig spec_config_from(const support::Options& options) {
   return config;
 }
 
-GenConfig gen_config_from(const support::Options& options, bool lazy_default) {
-  options.check_unknown({"lazy", "rule", "threads"});
+GenConfig gen_config_from(const support::Options& options, bool lazy) {
+  options.check_unknown({"rule", "threads"});
   GenConfig config;
-  config.lazy = options.get_bool("lazy", lazy_default);
+  config.lazy = lazy;
   config.threads = options.get_size("threads", config.threads);
   const std::string rule = options.get_string("rule", "gain");
   if (rule == "gain") {
@@ -320,8 +316,8 @@ void register_builtins(SolverRegistry& registry) {
   registry.add(
       "gen",
       "TrimCaching Gen: dedup-aware submodular greedy (Alg. 3, lazy driver); "
-      "options lazy=0|1, rule=gain|per_byte, threads (0=auto; bit-identical "
-      "at any count)",
+      "options rule=gain|per_byte, threads (0=auto; bit-identical at any "
+      "count)",
       [](const support::Options& options) -> std::unique_ptr<Solver> {
         return std::make_unique<GenSolver>("gen", gen_config_from(options, true));
       });
@@ -381,6 +377,7 @@ void register_builtins(SolverRegistry& registry) {
         config.threads = options.get_size("threads", config.threads);
         config.eviction_tolerance =
             options.get_double("tol", config.eviction_tolerance);
+        config.validate("repair: tol");
         return std::make_unique<RepairSolver>(config);
       });
   registry.add(

@@ -4,7 +4,7 @@
 // solvers from *spec strings*:
 //
 //   "gen"                          — registered defaults
-//   "gen:lazy=0,rule=per_byte"     — per-solver options after ':'
+//   "gen:rule=per_byte,threads=2"  — per-solver options after ':'
 //   "spec+ls"                      — '+' composes refiners onto a base
 //   "spec:eps=0.05+ls:rounds=4"    — options apply per segment
 //

@@ -4,7 +4,12 @@
 //
 // A shared block is stored once no matter how many cached models use it,
 // which is what makes g_m submodular in the cached-model set.
+//
+// ServerStorage charges g_m; NaiveStorage charges Σ D_i, the accounting of
+// the Independent Caching baseline. core::lazy_greedy runs over either.
 #pragma once
+
+#include <stdexcept>
 
 #include "src/model/model_library.h"
 #include "src/support/bitset.h"
@@ -39,6 +44,27 @@ class ServerStorage {
   support::Bytes capacity_;
   support::Bytes used_ = 0;
   support::DynamicBitset cached_;
+};
+
+/// Sharing-oblivious accounting (Independent Caching, §VII-A): every cached
+/// model charges its full size D_i, so a model that does not fit never will.
+class NaiveStorage {
+ public:
+  NaiveStorage(const model::ModelLibrary& library, support::Bytes capacity)
+      : library_(&library), capacity_(capacity) {}
+
+  [[nodiscard]] bool fits(ModelId i) const {
+    return used_ + library_->model_size(i) <= capacity_;
+  }
+  void add(ModelId i) {
+    if (!fits(i)) throw std::logic_error("NaiveStorage::add: capacity exceeded");
+    used_ += library_->model_size(i);
+  }
+
+ private:
+  const model::ModelLibrary* library_;  // non-owning
+  support::Bytes capacity_;
+  support::Bytes used_ = 0;
 };
 
 /// Evaluates g_m (Eq. 7) for an explicit model set; used by tests and the

@@ -1,24 +1,28 @@
 #include "src/core/submodular.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <queue>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 namespace trimcaching::core {
 
 namespace {
 
-struct RefillHeapEntry {
+struct HeapEntry {
   double gain = 0.0;
-  std::size_t position = 0;  ///< index into the restricted server list
+  std::uint32_t position = 0;  ///< index into `servers`; 16-byte entries
   ModelId model = 0;
 
-  bool operator<(const RefillHeapEntry& other) const {
-    // std::priority_queue is a max-heap on operator<; tie-break on
+  bool operator<(const HeapEntry& other) const {
+    // The heap is a max-heap on operator<; tie-break on
     // (position, model) so runs are deterministic whenever gains collide.
     if (gain != other.gain) return gain < other.gain;
     if (position != other.position) return position > other.position;
@@ -26,32 +30,18 @@ struct RefillHeapEntry {
   }
 };
 
-}  // namespace
+/// A still-uncovered (k, i) request with its latency budget.
+struct UncoveredPair {
+  UserId user;
+  ModelId model;
+  double mass;
+  double bits;
+  double budget_s;
+};
 
-RefillStats greedy_refill(const PlacementProblem& problem, CountedCoverage& coverage,
-                          std::vector<ServerStorage>& storage,
-                          const std::vector<ServerId>& servers,
-                          PlacementSolution& placement, const RefillConfig& config) {
-  if (storage.size() != servers.size()) {
-    throw std::invalid_argument("greedy_refill: storage/servers size mismatch");
-  }
-  RefillStats stats;
-  const std::size_t num_models = problem.num_models();
-
-  // Initial gains by an *inverted* sweep: instead of walking every (m, i)
-  // hit list — mostly already-covered entries after a dedup pass — collect
-  // the still-uncovered (k, i) demand once and test only it against each
-  // server's flat link row (problem.inverse_effective_rates). The latency
-  // arithmetic and the ascending-k accumulation order match
-  // CountedCoverage::marginal_mass bit for bit; shard p writes only its own
-  // gains row, so results are bit-identical for every thread count.
-  struct UncoveredPair {
-    UserId user;
-    ModelId model;
-    double mass;
-    double bits;
-    double budget_s;
-  };
+template <typename Coverage>
+std::vector<UncoveredPair> uncovered_demand(const PlacementProblem& problem,
+                                            const Coverage& coverage) {
   std::vector<UncoveredPair> pairs;
   const workload::RequestModel& requests = problem.requests();
   for (UserId k = 0; k < problem.num_users(); ++k) {
@@ -64,14 +54,45 @@ RefillStats greedy_refill(const PlacementProblem& problem, CountedCoverage& cove
                                     problem.payload_bits(i), budget});
     }
   }
+  return pairs;
+}
+
+}  // namespace
+
+template <typename Coverage, typename Storage>
+RefillStats lazy_greedy(const PlacementProblem& problem, Coverage& coverage,
+                        std::vector<Storage>& storage,
+                        const std::vector<ServerId>& servers,
+                        PlacementSolution& placement, const RefillConfig& config) {
+  if (storage.size() != servers.size()) {
+    throw std::invalid_argument("lazy_greedy: storage/servers size mismatch");
+  }
+  RefillStats stats;
+  const std::size_t num_models = problem.num_models();
+  const double tolerance = config.gain_tolerance;
+
+  // Initial gains, shard p writing only row p (the header says which sweep
+  // runs when). The inverted sweep's latency arithmetic and ascending-k
+  // accumulation order match the storage-only marginal_mass bit for bit.
+  const bool per_candidate =
+      placement.total_placements() == 0 ||
+      (std::is_same_v<Coverage, CoverageState> && problem.compute_constrained());
+  const std::vector<UncoveredPair> pairs =
+      per_candidate ? std::vector<UncoveredPair>{} : uncovered_demand(problem, coverage);
   const double backhaul = problem.backhaul_bps();
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> gains(servers.size() * num_models, 0.0);
   support::parallel_for(servers.size(), config.threads, [&](std::size_t p) {
     const ServerId m = servers[p];
+    double* row = gains.data() + p * num_models;
+    if (per_candidate) {
+      for (ModelId i = 0; i < num_models; ++i) {
+        if (!placement.placed(m, i)) row[i] = coverage.marginal_mass(m, i);
+      }
+      return;
+    }
     const std::span<const double> inv_row = problem.inverse_effective_rates(m);
     const std::span<const char> assoc_row = problem.associations(m);
-    double* row = gains.data() + p * num_models;
     for (const UncoveredPair& pair : pairs) {
       const double inv = inv_row[pair.user];
       if (inv == inf) continue;
@@ -85,50 +106,69 @@ RefillStats greedy_refill(const PlacementProblem& problem, CountedCoverage& cove
   // identical for every thread count. Unfit candidates are kept: their
   // stale gains stay valid upper bounds and the parking logic below decides
   // their fate at pop time.
-  std::priority_queue<RefillHeapEntry> heap;
-  for (std::size_t p = 0; p < servers.size(); ++p) {
+  std::priority_queue<HeapEntry> heap;
+  for (std::uint32_t p = 0; p < servers.size(); ++p) {
     for (ModelId i = 0; i < num_models; ++i) {
       if (placement.placed(servers[p], i)) continue;
       ++stats.gain_evaluations;
       const double gain = gains[p * num_models + i];
-      if (gain > config.gain_tolerance) heap.push(RefillHeapEntry{gain, p, i});
+      if (gain > tolerance) heap.push(HeapEntry{gain, p, i});
     }
   }
-  // Candidates that do not fit right now, per position; revived when the
-  // server's cached blocks change (their incremental size can only shrink).
+  // Candidates that did not fit when they reached the top, per position.
   std::vector<std::vector<ModelId>> parked(servers.size());
 
   while (!heap.empty()) {
-    const RefillHeapEntry top = heap.top();
+    const HeapEntry top = heap.top();
     heap.pop();
     const ServerId m = servers[top.position];
     if (placement.placed(m, top.model)) continue;
     const double fresh = coverage.marginal_mass(m, top.model);
     ++stats.gain_evaluations;
-    if (fresh <= config.gain_tolerance) continue;
+    if (fresh <= tolerance) continue;
     const double next_best = heap.empty() ? 0.0 : heap.top().gain;
-    if (fresh + config.gain_tolerance < next_best) {
-      heap.push(RefillHeapEntry{fresh, top.position, top.model});
+    if (fresh + tolerance < next_best) {
+      heap.push(HeapEntry{fresh, top.position, top.model});
       continue;
     }
-    if (!storage[top.position].fits(top.model)) {
+    Storage& server = storage[top.position];
+    if (!server.fits(top.model)) {
       parked[top.position].push_back(top.model);
       continue;
     }
-    storage[top.position].add(top.model);
+    server.add(top.model);
     coverage.add(m, top.model);
     placement.place(m, top.model);
     ++stats.additions;
-    // Sharing may have made parked models on this server affordable again.
-    for (const ModelId i : parked[top.position]) {
-      if (placement.placed(m, i)) continue;
+    // Re-price the parked models this addition made affordable; the rest
+    // stay parked until the server's content changes again.
+    std::erase_if(parked[top.position], [&](ModelId i) {
+      if (placement.placed(m, i)) return true;
+      if (!server.fits(i)) return false;
       const double gain = coverage.marginal_mass(m, i);
       ++stats.gain_evaluations;
-      if (gain > config.gain_tolerance) heap.push(RefillHeapEntry{gain, top.position, i});
-    }
-    parked[top.position].clear();
+      if (gain > tolerance) heap.push(HeapEntry{gain, top.position, i});
+      return true;
+    });
   }
   return stats;
+}
+
+template RefillStats lazy_greedy(const PlacementProblem&, CountedCoverage&,
+                                 std::vector<ServerStorage>&, const std::vector<ServerId>&,
+                                 PlacementSolution&, const RefillConfig&);
+template RefillStats lazy_greedy(const PlacementProblem&, CoverageState&,
+                                 std::vector<ServerStorage>&, const std::vector<ServerId>&,
+                                 PlacementSolution&, const RefillConfig&);
+template RefillStats lazy_greedy(const PlacementProblem&, CoverageState&,
+                                 std::vector<NaiveStorage>&, const std::vector<ServerId>&,
+                                 PlacementSolution&, const RefillConfig&);
+
+void RepairPassConfig::validate(std::string_view knob) const {
+  if (!std::isfinite(eviction_tolerance) || eviction_tolerance < 0) {
+    throw std::invalid_argument(std::string(knob) + " must be finite and >= 0, got " +
+                                std::to_string(eviction_tolerance));
+  }
 }
 
 RepairPassStats repair_placement(const PlacementProblem& problem,
@@ -141,6 +181,7 @@ RepairPassStats repair_placement(const PlacementProblem& problem,
       placement.num_models() != num_models) {
     throw std::invalid_argument("repair_placement: dimension mismatch");
   }
+  config.validate();
   std::vector<std::size_t> group(num_servers);
   if (server_group.empty()) {
     std::iota(group.begin(), group.end(), std::size_t{0});
@@ -202,26 +243,21 @@ RepairPassStats repair_placement(const PlacementProblem& problem,
     }
   }
 
-  // Refill the freed capacity: lazy-greedy over the global problem,
+  // Refill the freed capacity: lazy greedy over the global problem,
   // restricted to the servers that lost copies.
   std::vector<ServerId> freed;
   for (ServerId m = 0; m < num_servers; ++m) {
     if (freed_flag[m]) freed.push_back(m);
   }
   if (!freed.empty()) {
-    std::vector<ServerStorage> storage;
-    storage.reserve(freed.size());
-    for (const ServerId m : freed) {
-      ServerStorage server(problem.library(), problem.capacity(m));
-      for (const ModelId i : placement.models_on(m)) server.add(i);
-      storage.push_back(std::move(server));
-    }
+    std::vector<ServerStorage> storage =
+        server_storage<ServerStorage>(problem, freed, placement);
     // The refill's gain floor is clamped to the eviction tolerance: a copy
     // evicted at loss ≤ eviction_tolerance re-appears as a candidate with
     // exactly that gain, and re-adding it would churn the eviction into a
     // net no-op (worse, with a raised tolerance the churn band would cover
     // real hit mass).
-    const RefillStats refill = greedy_refill(
+    const RefillStats refill = lazy_greedy(
         problem, coverage, storage, freed, placement,
         RefillConfig{config.threads,
                      std::max(config.gain_tolerance, config.eviction_tolerance)});

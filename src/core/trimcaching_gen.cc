@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 
 #include "src/core/storage.h"
-#include "src/support/parallel.h"
+#include "src/core/submodular.h"
 
 namespace trimcaching::core {
 
@@ -21,38 +20,32 @@ double score_candidate(GreedyRule rule, double gain, support::Bytes cost) {
   return gain / static_cast<double>(std::max<support::Bytes>(1, cost));
 }
 
-GenResult run_naive(const PlacementProblem& problem, const GenConfig& config) {
-  const std::size_t num_servers = problem.num_servers();
+/// Literal Algorithm 3: rescans every (m, i) each round. `servers` lists
+/// every server in id order, so positions in it are server ids.
+std::size_t run_naive(const PlacementProblem& problem, const GenConfig& config,
+                      const std::vector<ServerId>& servers, CoverageState& coverage,
+                      std::vector<ServerStorage>& storage, PlacementSolution& placement) {
   const std::size_t num_models = problem.num_models();
-  GenResult result{PlacementSolution(num_servers, num_models), 0.0, 0};
-  CoverageState coverage(problem);
-  std::vector<ServerStorage> storage;
-  storage.reserve(num_servers);
-  for (ServerId m = 0; m < num_servers; ++m) {
-    storage.emplace_back(problem.library(), problem.capacity(m));
-  }
-
+  std::size_t gain_evaluations = 0;
   // Per-round candidate gains, batched across (server, model) pairs through
   // the shared batched_marginal_masses sweep (objective.h): shard m owns
   // server m's row of the flat array, so the parallel evaluation writes
   // disjoint slots and the (m, i)-ordered reduction below selects the same
   // candidate — with the same tie-breaks and evaluation count — as the
   // serial rescan, for every thread count.
-  std::vector<ServerId> servers(num_servers);
-  std::iota(servers.begin(), servers.end(), ServerId{0});
   std::vector<double> gains;
   while (true) {
-    batched_marginal_masses(problem, coverage, result.placement, storage, servers,
+    batched_marginal_masses(problem, coverage, placement, storage, servers,
                             config.threads, gains);
     double best_score = 0.0;
     ServerId best_m = 0;
     ModelId best_i = 0;
     bool found = false;
-    for (ServerId m = 0; m < num_servers; ++m) {
+    for (ServerId m = 0; m < problem.num_servers(); ++m) {
       for (ModelId i = 0; i < num_models; ++i) {
         const double gain = gains[static_cast<std::size_t>(m) * num_models + i];
         if (gain == kSkippedCandidate) continue;
-        ++result.gain_evaluations;
+        ++gain_evaluations;
         if (gain <= kGainTolerance) continue;
         const double score = score_candidate(config.rule, gain, storage[m].incremental_cost(i));
         if (score > best_score + kGainTolerance) {
@@ -66,97 +59,31 @@ GenResult run_naive(const PlacementProblem& problem, const GenConfig& config) {
     if (!found) break;
     storage[best_m].add(best_i);
     coverage.add(best_m, best_i);
-    result.placement.place(best_m, best_i);
+    placement.place(best_m, best_i);
   }
-  result.hit_ratio = coverage.hit_ratio();
-  return result;
-}
-
-struct HeapEntry {
-  double gain = 0.0;
-  ServerId server = 0;
-  ModelId model = 0;
-
-  bool operator<(const HeapEntry& other) const {
-    // std::priority_queue is a max-heap on operator<; tie-break on (m, i)
-    // so that lazy and naive agree whenever gains are distinct.
-    if (gain != other.gain) return gain < other.gain;
-    if (server != other.server) return server > other.server;
-    return model > other.model;
-  }
-};
-
-GenResult run_lazy(const PlacementProblem& problem, const GenConfig& config) {
-  const std::size_t num_servers = problem.num_servers();
-  const std::size_t num_models = problem.num_models();
-  GenResult result{PlacementSolution(num_servers, num_models), 0.0, 0};
-  CoverageState coverage(problem);
-  std::vector<ServerStorage> storage;
-  storage.reserve(num_servers);
-  for (ServerId m = 0; m < num_servers; ++m) {
-    storage.emplace_back(problem.library(), problem.capacity(m));
-  }
-
-  // Initial gains batched per server (the heap build is the lazy driver's
-  // only O(M·I) full scan); pushes happen in (m, i) order afterwards, so the
-  // heap's tie-break order matches the serial build bit for bit.
-  std::vector<double> gains(num_servers * num_models, 0.0);
-  support::parallel_for(num_servers, config.threads, [&](std::size_t m) {
-    for (ModelId i = 0; i < num_models; ++i) {
-      gains[m * num_models + i] = coverage.marginal_mass(static_cast<ServerId>(m), i);
-    }
-  });
-  std::priority_queue<HeapEntry> heap;
-  for (ServerId m = 0; m < num_servers; ++m) {
-    for (ModelId i = 0; i < num_models; ++i) {
-      const double gain = gains[static_cast<std::size_t>(m) * num_models + i];
-      ++result.gain_evaluations;
-      if (gain > kGainTolerance) heap.push(HeapEntry{gain, m, i});
-    }
-  }
-  // Candidates that do not fit right now, per server; revived when the
-  // server's cached blocks change (their incremental size can only shrink).
-  std::vector<std::vector<ModelId>> parked(num_servers);
-
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (result.placement.placed(top.server, top.model)) continue;
-    const double fresh = coverage.marginal_mass(top.server, top.model);
-    ++result.gain_evaluations;
-    if (fresh <= kGainTolerance) continue;
-    const double next_best = heap.empty() ? 0.0 : heap.top().gain;
-    if (fresh + kGainTolerance < next_best) {
-      heap.push(HeapEntry{fresh, top.server, top.model});
-      continue;
-    }
-    if (!storage[top.server].fits(top.model)) {
-      parked[top.server].push_back(top.model);
-      continue;
-    }
-    storage[top.server].add(top.model);
-    coverage.add(top.server, top.model);
-    result.placement.place(top.server, top.model);
-    // Sharing may have made parked models on this server affordable again.
-    for (const ModelId i : parked[top.server]) {
-      if (result.placement.placed(top.server, i)) continue;
-      const double gain = coverage.marginal_mass(top.server, i);
-      ++result.gain_evaluations;
-      if (gain > kGainTolerance) heap.push(HeapEntry{gain, top.server, i});
-    }
-    parked[top.server].clear();
-  }
-  result.hit_ratio = coverage.hit_ratio();
-  return result;
+  return gain_evaluations;
 }
 
 }  // namespace
 
 GenResult trimcaching_gen(const PlacementProblem& problem, const GenConfig& config) {
-  if (config.rule == GreedyRule::kGainPerByte) {
-    return run_naive(problem, config);  // lazy unsound for ratio scores
+  GenResult result{PlacementSolution(problem.num_servers(), problem.num_models()), 0.0, 0};
+  CoverageState coverage(problem);
+  std::vector<ServerId> servers(problem.num_servers());
+  std::iota(servers.begin(), servers.end(), ServerId{0});
+  auto storage = server_storage<ServerStorage>(problem, servers, result.placement);
+  // Lazy evaluation is unsound for ratio scores (see GenConfig::rule).
+  if (config.lazy && config.rule == GreedyRule::kGain) {
+    result.gain_evaluations =
+        lazy_greedy(problem, coverage, storage, servers, result.placement,
+                    RefillConfig{config.threads, kGainTolerance})
+            .gain_evaluations;
+  } else {
+    result.gain_evaluations =
+        run_naive(problem, config, servers, coverage, storage, result.placement);
   }
-  return config.lazy ? run_lazy(problem, config) : run_naive(problem, config);
+  result.hit_ratio = coverage.hit_ratio();
+  return result;
 }
 
 }  // namespace trimcaching::core

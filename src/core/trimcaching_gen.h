@@ -6,12 +6,15 @@
 // (Theorem 3); no constant guarantee exists in general (Proposition 2).
 //
 // Two drivers are provided:
-//  * naive  — full rescan of all (m, i) each step (the literal Algorithm 3);
-//  * lazy   — Minoux's lazy greedy: since U is submodular, marginal gains
-//    only decrease, so stale heap entries can be re-evaluated on demand.
-//    Candidates that do not currently fit are parked per server and revived
-//    when that server's cache content changes (placing a model can *lower*
-//    a sharing neighbour's incremental size, so infeasibility is not final).
+//  * naive  — full rescan of all (m, i) each step (the literal Algorithm 3,
+//    registered as gen_naive); the only driver for GreedyRule::kGainPerByte;
+//  * lazy   — core::lazy_greedy (submodular.h) over CoverageState and dedup
+//    ServerStorage, the Minoux loop Independent Caching and the repair
+//    solver share: since U is submodular, marginal gains only decrease, so
+//    stale heap entries can be re-evaluated on demand. Candidates that do
+//    not currently fit are parked per server and re-priced when an addition
+//    to that server makes them fit (placing a model can *lower* a sharing
+//    neighbour's incremental size, so infeasibility is not final).
 // Both produce a maximal-gain sequence; they can differ only in tie-breaks.
 #pragma once
 
@@ -35,7 +38,7 @@ struct GenConfig {
   GreedyRule rule = GreedyRule::kGain;
   /// Thread count for batched marginal-gain evaluation (0 = hardware
   /// concurrency, 1 = serial): the naive driver's per-round (m, i) rescan
-  /// and the lazy driver's initial heap build shard gains per server into a
+  /// and lazy_greedy's initial heap build shard gains per server into a
   /// flat array; candidate selection then runs as an ordered serial
   /// reduction over that array, so placements, hit ratios, and
   /// gain-evaluation counts are bit-identical for any value.

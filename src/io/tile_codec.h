@@ -40,7 +40,7 @@ namespace trimcaching::io {
 
 /// Everything the worker needs beyond the problem data itself.
 struct TileViewHeader {
-  std::string algo;            ///< registry spec, e.g. "gen:lazy=1"
+  std::string algo;            ///< registry spec, e.g. "gen:threads=2"
   std::uint32_t threads = 1;   ///< solver-internal thread count
   std::uint32_t tile_index = 0;
   std::uint64_t solver_seed = 0;  ///< Rng construction seed for SolverContext

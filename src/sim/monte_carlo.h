@@ -3,7 +3,7 @@
 // realizations; benches default to a reduced budget, switchable to paper
 // scale via TRIMCACHING_FULL=1, see experiment.h).
 //
-// Solvers are requested by registry spec string ("spec", "gen:lazy=0",
+// Solvers are requested by registry spec string ("spec", "gen_naive",
 // "independent+ls", ...) — see core/solver_registry.h. Per-solver options
 // ride in the spec, so one driver serves every figure and ablation.
 //

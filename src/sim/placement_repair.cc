@@ -1,6 +1,5 @@
 #include "src/sim/placement_repair.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "src/support/timing.h"
@@ -8,11 +7,8 @@
 namespace trimcaching::sim {
 
 void RepairConfig::validate() const {
-  if (std::isnan(eviction_tolerance) || std::isinf(eviction_tolerance) ||
-      eviction_tolerance < 0) {
-    throw std::invalid_argument(
-        "RepairConfig: eviction_tolerance must be finite and >= 0");
-  }
+  core::RepairPassConfig{.eviction_tolerance = eviction_tolerance}.validate(
+      "RepairConfig: eviction_tolerance");
 }
 
 PlacementRepair::PlacementRepair(const Scenario& scenario,

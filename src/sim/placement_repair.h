@@ -15,9 +15,10 @@
 //     when evicting it loses no global hit mass and a holder in *another*
 //     tile serves an overlapping user — the overlap only halos create.
 //  2. Eviction + refill — duplicates are evicted deterministically and the
-//     freed capacity is swept with core::greedy_refill restricted to the
-//     freed servers, batched over `threads` workers, bit-identical for any
-//     thread count (core/submodular.h documents both halves).
+//     freed capacity is swept with core::lazy_greedy (the Minoux loop Gen
+//     runs) restricted to the freed servers, its initial gains batched over
+//     `threads` workers, bit-identical for any thread count
+//     (core/submodular.h documents both halves).
 //
 // The repaired placement's global Eq. 2 value never decreases (up to the
 // eviction tolerance), and the pass is a bit-equal no-op on
@@ -42,6 +43,7 @@ struct RepairConfig {
   /// duplicate (core::RepairPassConfig::eviction_tolerance).
   double eviction_tolerance = 1e-12;
 
+  /// Applies core::RepairPassConfig::validate's finite-and->=0 rule.
   void validate() const;
 };
 

@@ -208,11 +208,8 @@ void TilerConfig::validate() const {
   if (std::isnan(halo_m) || std::isinf(halo_m)) {
     throw std::invalid_argument("TilerConfig: halo_m must be finite");
   }
-  if (std::isnan(repair_tolerance) || std::isinf(repair_tolerance) ||
-      repair_tolerance < 0) {
-    throw std::invalid_argument(
-        "TilerConfig: repair_tolerance must be finite and >= 0");
-  }
+  core::RepairPassConfig{.eviction_tolerance = repair_tolerance}.validate(
+      "TilerConfig: repair_tolerance");
   if (std::isnan(worker_timeout_s) || std::isinf(worker_timeout_s)) {
     throw std::invalid_argument("TilerConfig: worker_timeout_s must be finite");
   }

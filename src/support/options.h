@@ -20,7 +20,7 @@ class Options {
   /// Throws std::invalid_argument on malformed tokens or duplicate keys.
   static Options parse(int argc, const char* const* argv);
 
-  /// Parses a separator-joined key=value list, e.g. "lazy=0,rule=per_byte".
+  /// Parses a separator-joined key=value list, e.g. "rule=per_byte,threads=2".
   /// An empty string yields an empty option set. Used by the solver registry
   /// for the option tail of "name:k=v,k=v" specs.
   static Options parse_pairs(const std::string& text, char separator = ',');

@@ -11,7 +11,10 @@
 //   * repair is bit-identical for threads=1 vs threads=8, through the tiler
 //     knob and standalone;
 //   * the "repair" registry refiner composes ("gen+repair") and never
-//     worsens its base.
+//     worsens its base;
+//   * standalone "repair" runs gen's lazy-greedy engine, so on storage-only
+//     scenarios it returns gen's placement, hit ratio and gain-evaluation
+//     count bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -255,13 +258,41 @@ TEST(RepairSolver, ComposesAsRefinerAndNeverWorsens) {
         << base;
   }
 
-  // Standalone "repair" greedy-fills from scratch through the refill
-  // machinery and reports the honest Eq. 2 value.
+  // Standalone "repair" greedy-fills from scratch with the lazy-greedy
+  // engine and reports the honest Eq. 2 value.
   core::SolverContext context(Rng(7));
   const auto standalone = registry.make("repair")->run(problem, context);
   EXPECT_GT(standalone.hit_ratio, 0.0);
   EXPECT_NEAR(core::expected_hit_ratio(problem, standalone.placement),
               standalone.hit_ratio, 1e-9);
+}
+
+TEST(RepairSolver, StandaloneEqualsGenBitwiseOnStorageOnlyScenarios) {
+  // The fig8 2x point: relay-heavy enough that servers' hit lists overlap.
+  ScenarioConfig config;
+  config.num_servers = 14;
+  config.num_users = 40;
+  config.area_side_m = 1183.0;
+  config.library_size = 60;
+  config.special.models_per_family = 20;
+  config.requests.models_per_user = 30;
+  config.requests.deadline_min_s = 2.0;
+  config.requests.deadline_max_s = 6.0;
+  const auto& registry = core::SolverRegistry::instance();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    const Scenario scenario = build_scenario(config, rng);
+    const core::PlacementProblem problem = scenario.problem();
+    ASSERT_FALSE(problem.compute_constrained());
+    core::SolverContext gen_context(Rng(7));
+    core::SolverContext repair_context(Rng(7));
+    const auto gen = registry.make("gen")->run(problem, gen_context);
+    const auto repair = registry.make("repair")->run(problem, repair_context);
+    ASSERT_GT(gen.placement.total_placements(), 0u) << "seed " << seed;
+    expect_same_placements(gen.placement, repair.placement);
+    EXPECT_EQ(gen.hit_ratio, repair.hit_ratio) << "seed " << seed;
+    EXPECT_EQ(gen.gain_evaluations, repair.gain_evaluations) << "seed " << seed;
+  }
 }
 
 TEST(RepairConfigValidation, RejectsBadTolerances) {

@@ -84,10 +84,13 @@ TEST_P(AdapterEquivalence, MatchesLegacyFreeFunctions) {
   EXPECT_DOUBLE_EQ(via_registry(problem, "spec"),
                    trimcaching_spec(problem).hit_ratio);
   EXPECT_DOUBLE_EQ(via_registry(problem, "gen"), trimcaching_gen(problem).hit_ratio);
-  EXPECT_DOUBLE_EQ(via_registry(problem, "gen:lazy=0"),
-                   trimcaching_gen(problem, GenConfig{.lazy = false}).hit_ratio);
   EXPECT_DOUBLE_EQ(via_registry(problem, "gen_naive"),
                    trimcaching_gen(problem, GenConfig{.lazy = false}).hit_ratio);
+  EXPECT_DOUBLE_EQ(
+      via_registry(problem, "gen_naive:rule=per_byte"),
+      trimcaching_gen(problem, GenConfig{.lazy = false,
+                                         .rule = GreedyRule::kGainPerByte})
+          .hit_ratio);
   EXPECT_DOUBLE_EQ(via_registry(problem, "independent"),
                    independent_caching(problem).hit_ratio);
   EXPECT_DOUBLE_EQ(via_registry(problem, "exact"), exact_optimal(problem).hit_ratio);
@@ -159,6 +162,39 @@ TEST(SolverRegistry, RejectsMalformedSpecs) {
   EXPECT_THROW((void)registry.make("gen+spec"), std::invalid_argument);
 }
 
+// The naive driver has one spelling, gen_naive: "lazy" is not a gen option,
+// and the rejection lists the keys gen does accept.
+TEST(SolverRegistry, GenRejectsLazyKeyListingAcceptedKeys) {
+  for (const char* spec : {"gen:lazy=0", "gen:lazy=1"}) {
+    try {
+      (void)SolverRegistry::instance().make(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("unknown key 'lazy'"), std::string::npos) << message;
+      EXPECT_NE(message.find("rule"), std::string::npos) << message;
+      EXPECT_NE(message.find("threads"), std::string::npos) << message;
+    }
+  }
+}
+
+// repair:tol= takes the tiler's finite-and->=0 rule: an unbounded tolerance
+// would raise the refill's gain floor past every gain and make the pass a
+// silent no-op.
+TEST(SolverRegistry, RepairRejectsNonFiniteOrNegativeTolerance) {
+  for (const char* spec : {"repair:tol=nan", "repair:tol=inf", "repair:tol=-1",
+                           "top_pop+repair:tol=inf"}) {
+    try {
+      (void)SolverRegistry::instance().make(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("tol"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)SolverRegistry::instance().make("repair:tol=0"));
+  EXPECT_NO_THROW((void)SolverRegistry::instance().make("gen+repair:tol=1e-9"));
+}
+
 TEST(SolverRegistry, OptionsChangeBehavior) {
   const auto world = testutil::random_world(11, 3, 10, 12, 14, 40.0);
   const auto problem = world.problem();
@@ -166,7 +202,7 @@ TEST(SolverRegistry, OptionsChangeBehavior) {
   const auto lazy =
       SolverRegistry::instance().make("gen")->run(problem, context);
   const auto naive =
-      SolverRegistry::instance().make("gen:lazy=0")->run(problem, context);
+      SolverRegistry::instance().make("gen_naive")->run(problem, context);
   // Same greedy value sequence, but the lazy driver evaluates fewer gains.
   EXPECT_NEAR(lazy.hit_ratio, naive.hit_ratio, 1e-9);
   EXPECT_LE(lazy.gain_evaluations, naive.gain_evaluations);

@@ -195,18 +195,37 @@ TEST(ParallelSolvers, SpecAndGenInnerLoopsBitIdenticalAcrossThreadCounts) {
       {"gen:threads=1", "gen:threads=8"},
       {"gen_naive:threads=1", "gen_naive:threads=8"},
       {"gen_naive:rule=per_byte,threads=1", "gen_naive:rule=per_byte,threads=8"},
+      // Standalone repair fills from empty (the per-candidate heap build);
+      // top_pop's copies are mostly duplicates, so its repair refill takes
+      // the inverted uncovered-demand build.
+      {"repair:threads=1", "repair:threads=8"},
+      {"top_pop+repair:threads=1", "top_pop+repair:threads=8"},
   };
-  for (const auto& [serial_spec, threaded_spec] : pairs) {
+  const auto expect_thread_invariant = [](const core::PlacementProblem& instance,
+                                          const std::string& serial_spec,
+                                          const std::string& threaded_spec) {
     core::SolverContext serial_context(Rng(7));
     core::SolverContext threaded_context(Rng(7));
     const auto& registry = core::SolverRegistry::instance();
-    const auto serial = registry.make(serial_spec)->run(problem, serial_context);
-    const auto threaded = registry.make(threaded_spec)->run(problem, threaded_context);
+    const auto serial = registry.make(serial_spec)->run(instance, serial_context);
+    const auto threaded = registry.make(threaded_spec)->run(instance, threaded_context);
     expect_same_placements(serial.placement, threaded.placement);
     EXPECT_DOUBLE_EQ(serial.hit_ratio, threaded.hit_ratio) << serial_spec;
     EXPECT_EQ(serial.gain_evaluations, threaded.gain_evaluations) << serial_spec;
     EXPECT_EQ(serial.iterations, threaded.iterations) << serial_spec;
+  };
+  for (const auto& [serial_spec, threaded_spec] : pairs) {
+    expect_thread_invariant(problem, serial_spec, threaded_spec);
   }
+
+  // The same scenario under a binding compute constraint: gen's heap build
+  // then prices every candidate through the compute charge walk.
+  config.compute_capacity = 0.5;
+  Rng constrained_rng(94);
+  const Scenario constrained = build_scenario(config, constrained_rng);
+  const core::PlacementProblem constrained_problem = constrained.problem();
+  ASSERT_TRUE(constrained_problem.compute_constrained());
+  expect_thread_invariant(constrained_problem, "gen:threads=1", "gen:threads=8");
 }
 
 TEST(ParallelSolvers, ThreadedSpecsMatchLegacyDefaults) {

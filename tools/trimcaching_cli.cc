@@ -5,7 +5,7 @@
 //   trimcaching_cli servers=10 users=20 capacity_gb=1.0 library=special
 //   trimcaching_cli requested=30 algo=all seed=1 fading=500 arrivals=0.05
 //   trimcaching_cli algo=list                 # print every registered solver
-//   trimcaching_cli algo="spec+ls;gen:lazy=0" # ';'-separated spec strings
+//   trimcaching_cli algo="spec+ls;gen_naive"  # ';'-separated spec strings
 //
 // Keys (all optional):
 //   servers, users       deployment sizes            (10, 20)
@@ -25,7 +25,7 @@
 //                        serving replay; 0 = unlimited (0)
 //   algo                 list | all | ';'-separated registry specs (all)
 //                        "all" = the paper's trio spec;gen;independent;
-//                        specs take options, e.g. gen:lazy=0,rule=per_byte
+//                        specs take options, e.g. gen:rule=per_byte,threads=2
 //   local_search         refine with 1-swap search, i.e. append "+ls" (false)
 //   time_budget_s        per-solver deadline in seconds, 0 = none (0)
 //   seed                 RNG seed                    (1)
