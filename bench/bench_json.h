@@ -17,7 +17,8 @@
 //     ]
 //   }
 //
-// `throughput` is items/second (benchmark-defined; 0 when not meaningful);
+// `throughput` is items per wall-clock second (benchmark-defined; 0 when
+// not meaningful);
 // `speedup_vs_serial` is emitted only when positive; `hit_ratio` (global
 // Eq. 2 value) and `duplication_factor` (placements per distinct cached
 // model, fig8_scale's cross-tile duplication metric) only when recorded
@@ -29,9 +30,11 @@
 // bench_diff metric=plan_update; emitted when > 0). The serving bench
 // (fig9_serving) records the tail-latency columns `p50_ms` / `p95_ms` /
 // `p99_ms` (download-latency quantiles in milliseconds) and `served_rps`
-// (completed downloads per second), all emitted when >= 0; its hit_ratio
-// column carries the *empirical* deadline-hit ratio of the replay and is
-// drop-gated by bench_diff metric=hit_ratio. Its fault-injection legs
+// (completed downloads per *simulated* second: a property of the modelled
+// system, independent of the host), all emitted when >= 0. Its `throughput`
+// is replayed requests per *wall* second: how fast this host simulates. Its
+// hit_ratio column carries the *empirical* deadline-hit ratio of the replay
+// and is drop-gated by bench_diff metric=hit_ratio. Its fault-injection legs
 // additionally record the failure columns `failovers` (arrival reroutes plus
 // in-flight rescues, see the field) / `aborted` (a terminal count) and
 // `rewarm_s` (mean recovery -> cache re-warm transient in seconds), all
@@ -63,7 +66,7 @@ namespace trimcaching::bench {
 struct JsonRecord {
   std::string name;
   double wall_seconds = 0.0;
-  double throughput = 0.0;       ///< items per second; 0 = not meaningful
+  double throughput = 0.0;       ///< items per wall second; 0 = not meaningful
   std::size_t threads = 1;       ///< thread count the measurement used
   double speedup_vs_serial = 0;  ///< > 0 only when a serial baseline was timed
   double hit_ratio = -1.0;       ///< global Eq. 2 value; < 0 = not recorded
@@ -74,7 +77,8 @@ struct JsonRecord {
   double p50_ms = -1.0;              ///< median download latency; < 0 = n/a
   double p95_ms = -1.0;              ///< p95 download latency; < 0 = n/a
   double p99_ms = -1.0;              ///< p99 download latency; < 0 = n/a
-  double served_rps = -1.0;          ///< completed downloads per second; < 0 = n/a
+  double served_rps = -1.0;          ///< completed downloads per simulated
+                                     ///< second; < 0 = n/a
   double peak_rss_mb = -1.0;         ///< peak resident set during the variant,
                                      ///< MB (support/resource.h); < 0 = n/a.
                                      ///< Gated rising by bench_diff metric=rss.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/support/options.h"
 
@@ -133,7 +134,10 @@ class LruCache final : public CachePolicy {
 class EwmaCache final : public CachePolicy {
  public:
   explicit EwmaCache(double tau_s) : tau_s_(tau_s) {
-    if (tau_s <= 0) throw std::invalid_argument("ewma cache: tau_s must be > 0");
+    if (!std::isfinite(tau_s) || tau_s <= 0) {
+      throw std::invalid_argument("ewma cache: tau_s must be finite and > 0, got " +
+                                  std::to_string(tau_s));
+    }
   }
   [[nodiscard]] std::string name() const override { return "ewma"; }
 

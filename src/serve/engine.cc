@@ -7,6 +7,7 @@
 #include <queue>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,13 +21,16 @@
 namespace trimcaching::serve {
 
 void ServeConfig::validate() const {
-  if (arrival_rate_per_user <= 0) {
-    throw std::invalid_argument("ServeConfig: arrival rate must be > 0");
-  }
-  if (duration_s <= 0) throw std::invalid_argument("ServeConfig: duration must be > 0");
-  if (cloud_rate_bps <= 0) {
-    throw std::invalid_argument("ServeConfig: cloud rate must be > 0");
-  }
+  const auto require_positive = [](double value, const char* knob) {
+    if (!std::isfinite(value) || value <= 0) {
+      throw std::invalid_argument(std::string("ServeConfig: ") + knob +
+                                  " must be finite and > 0, got " +
+                                  std::to_string(value));
+    }
+  };
+  require_positive(arrival_rate_per_user, "arrival_rate_per_user");
+  require_positive(duration_s, "duration_s");
+  require_positive(cloud_rate_bps, "cloud_rate_bps");
   if (std::isnan(rewarm_fraction) || rewarm_fraction <= 0 || rewarm_fraction > 1) {
     throw std::invalid_argument("ServeConfig: rewarm fraction must be in (0, 1]");
   }
@@ -47,6 +51,30 @@ enum class Route : std::uint8_t {
   kBestCovering,  ///< reactive: hit/miss re-resolved against live cache state
   kDirect,        ///< static: serving server fully caches the model
   kRelay,         ///< static: payload crosses the backhaul first
+};
+
+/// Hit-series window of timestamp t on the W-window grid over the duration
+/// (the last window is closed, so t = duration lands in it).
+std::size_t hit_window(double t, double duration_s, std::size_t windows) {
+  const auto w = static_cast<std::size_t>(t / duration_s * static_cast<double>(windows));
+  return std::min(windows - 1, w);
+}
+
+/// Some warm holder of a model can source a relay at t: any holder at all
+/// without a fault schedule, a holder up at t with one.
+bool any_holder_up(const std::vector<ServerId>& holders, const sim::FaultSchedule* faults,
+                   double t) {
+  if (faults == nullptr) return !holders.empty();
+  return std::any_of(holders.begin(), holders.end(),
+                     [&](ServerId m) { return faults->is_up(m, t); });
+}
+
+/// A delivery decision: the serving server (kInvalidId = unserved), the
+/// spectral efficiency of its downlink, and how the payload reaches it.
+struct RoutePick {
+  ServerId server = kInvalidId;
+  double se = 0.0;
+  Route route = Route::kBestCovering;
 };
 
 struct Request {
@@ -105,24 +133,22 @@ class ServerLoop {
   ServerLoop(const wireless::NetworkTopology& topology,
              const model::ModelLibrary& library,
              const workload::RequestModel& requests, const ServeConfig& config,
-             CachePolicy& policy, const std::vector<char>& relayable,
-             std::vector<Request> bucket, ServerId self,
+             CachePolicy& policy, std::vector<Request> bucket, ServerId self,
              const sim::FaultSchedule* faults,
-             const std::vector<std::vector<ServerId>>* warm_holders,
-             const std::vector<ModelId>* warm_models)
+             const std::vector<std::vector<ServerId>>& warm_holders,
+             const std::vector<ModelId>& warm_models)
       : topology_(&topology),
         library_(&library),
         requests_(&requests),
         config_(&config),
         policy_(&policy),
-        relayable_(&relayable),
         reactive_(policy.reactive()),
         bandwidth_hz_(topology.radio().total_bandwidth_hz),
         compute_slots_(config.compute_slots),
         self_(self),
         faults_(faults),
-        warm_holders_(warm_holders),
-        warm_models_(warm_models),
+        warm_holders_(&warm_holders),
+        warm_models_(&warm_models),
         warm_bytes_(policy.used_bytes()),
         bucket_(std::move(bucket)) {
     std::sort(bucket_.begin(), bucket_.end(), [](const Request& a, const Request& b) {
@@ -275,7 +301,7 @@ class ServerLoop {
       return;
     }
     double ready = 0.0;
-    if (relay_source_up(i, now)) {
+    if (any_holder_up((*warm_holders_)[i], faults_, now)) {
       // Cache-on-relay: the warm placement put this model somewhere (still
       // up, under a fault schedule), so the missing blocks are pulled over
       // the backhaul (not the cloud) and admitted — the first relay pays the
@@ -303,17 +329,6 @@ class ServerLoop {
   [[nodiscard]] double edge_backhaul_bps(double now) const {
     const double base = topology_->radio().backhaul_bps;
     return faults_ == nullptr ? base : base * faults_->backhaul_factor(now);
-  }
-
-  /// A warm holder of model i that could source a relay right now. Without
-  /// faults this is the precomputed static relay-source set; with faults a
-  /// holder must also be up at `now`.
-  [[nodiscard]] bool relay_source_up(ModelId i, double now) const {
-    if (faults_ == nullptr) return (*relayable_)[i] != 0;
-    for (const ServerId holder : (*warm_holders_)[i]) {
-      if (faults_->is_up(holder, now)) return true;
-    }
-    return false;
   }
 
   /// Terminal classification of a flow killed by this server's outage:
@@ -414,7 +429,10 @@ class ServerLoop {
     if (download <= flow.budget_s) {
       ++metrics_.deadline_hits;
       if (!metrics_.window_hits.empty()) {
-        ++metrics_.window_hits[hit_window(flow.request_time)];
+        // Windowed by arrival time, so a recovery transient shows where the
+        // demand arrived, not where its download finished.
+        ++metrics_.window_hits[hit_window(flow.request_time, config_->duration_s,
+                                          metrics_.window_hits.size())];
       }
     } else {
       ++metrics_.late;
@@ -426,16 +444,6 @@ class ServerLoop {
     }
     active_.erase(front);
     schedule_next(now);
-  }
-
-  /// Hit-series window of a request timestamp (requests land on the window
-  /// grid by *arrival* time, so a recovery transient shows where the demand
-  /// arrived, not where its download finished).
-  [[nodiscard]] std::size_t hit_window(double t) const {
-    const std::size_t windows = config_->hit_series_windows;
-    const auto w = static_cast<std::size_t>(t / config_->duration_s *
-                                            static_cast<double>(windows));
-    return std::min(windows - 1, w);
   }
 
   /// Records the active-flow count for every grid point strictly before
@@ -456,15 +464,14 @@ class ServerLoop {
   const workload::RequestModel* requests_;
   const ServeConfig* config_;
   CachePolicy* policy_;
-  const std::vector<char>* relayable_;
   bool reactive_ = false;
   double bandwidth_hz_ = 0.0;
   std::size_t compute_slots_ = 0;   ///< 0 = unlimited (no admission control)
   std::size_t inferences_active_ = 0;
   ServerId self_ = 0;
   const sim::FaultSchedule* faults_ = nullptr;  ///< nullptr = fault-free replay
-  const std::vector<std::vector<ServerId>>* warm_holders_ = nullptr;
-  const std::vector<ModelId>* warm_models_ = nullptr;  ///< placement re-push
+  const std::vector<std::vector<ServerId>>* warm_holders_;  ///< per model
+  const std::vector<ModelId>* warm_models_;  ///< placement re-push
   support::Bytes warm_bytes_ = 0;          ///< warm-placement footprint
   support::Bytes rewarm_threshold_ = 0;    ///< bytes counting as re-warmed
   bool down_ = false;
@@ -559,33 +566,18 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
   }
 
   // Routing consults the warm (initial) cache state only, so it can be
-  // tabulated once: warm_cached[m * I + i] = server m's warm cache fully
-  // holds model i, and relayable[i] = some server's does (the relay source
-  // set; for a static cache this never changes, for a reactive one the
-  // replay re-resolves live state inside the shard).
+  // tabulated once, in one M·I pass: warm_cached[m * I + i] = server m's warm
+  // cache fully holds model i, and warm_holders[i] lists those servers in
+  // ascending order (the relay sources; for a static cache they never change,
+  // for a reactive one the replay re-resolves live state inside the shard).
   const std::size_t num_models = library.num_models();
   std::vector<char> warm_cached(num_servers * num_models);
-  std::vector<char> relayable(num_models, 0);
+  std::vector<std::vector<ServerId>> warm_holders(num_models);
   for (ServerId m = 0; m < num_servers; ++m) {
     for (ModelId i = 0; i < num_models; ++i) {
-      const char cached = policies[m]->fully_cached(i) ? 1 : 0;
-      warm_cached[m * num_models + i] = cached;
-      if (cached) relayable[i] = 1;
-    }
-  }
-  const auto warm_holds = [&](ServerId m, ModelId i) {
-    return warm_cached[m * num_models + i] != 0;
-  };
-  // Per-model warm-holder lists, only materialized under a fault schedule:
-  // failover routing, live relay-source checks and killed-flow
-  // classification all ask "which holders of i survive at time t".
-  std::vector<std::vector<ServerId>> warm_holders;
-  if (faults != nullptr) {
-    warm_holders.resize(num_models);
-    for (ServerId m = 0; m < num_servers; ++m) {
-      for (ModelId i = 0; i < num_models; ++i) {
-        if (warm_cached[m * num_models + i] != 0) warm_holders[i].push_back(m);
-      }
+      if (!policies[m]->fully_cached(i)) continue;
+      warm_cached[m * num_models + i] = 1;
+      warm_holders[i].push_back(m);
     }
   }
 
@@ -609,137 +601,68 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
       ++generation.requests;
       ++seq;
       if (windows > 0) {
-        const auto w = static_cast<std::size_t>(t / config.duration_s *
-                                                static_cast<double>(windows));
-        ++generation.window_requests[std::min(windows - 1, w)];
+        ++generation.window_requests[hit_window(t, config.duration_s, windows)];
       }
 
+      const auto link_se = [&](std::size_t l) {
+        return config.average_channel ? mean_se[l] : std::log2(1.0 + snr[l] * gain);
+      };
+      // The delivery rule (Eq. 4/5): the best covering server whose warm
+      // cache fully holds the model serves it directly. Otherwise a static
+      // cache relays from a warm holder over the backhaul (it never falls
+      // back to the cloud), and a reactive cache takes the best covering
+      // server outright; its replay pulls the miss from a warm holder or the
+      // cloud and admits it (cache-on-relay). Warm holders come first even
+      // for a reactive cache, so it never routes worse than its placement.
+      // A fault-aware pick only considers servers up at t, needs a surviving
+      // holder to source a static relay, and scales each link's SNR by its
+      // server's degradation factor (exactly 1 keeps the undegraded bits).
+      const auto pick = [&](bool fault_aware) {
+        RoutePick best;
+        const auto scan = [&](bool warm_only) {
+          for (std::size_t l = begin; l < end; ++l) {
+            const ServerId m = covering[l];
+            if (warm_only && warm_cached[m * num_models + i] == 0) continue;
+            if (fault_aware && !faults->is_up(m, t)) continue;
+            const double factor = fault_aware ? faults->snr_factor(m, t) : 1.0;
+            const double se =
+                factor == 1.0 ? link_se(l) : std::log2(1.0 + snr[l] * gain * factor);
+            if (se > best.se) {
+              best.se = se;
+              best.server = m;
+            }
+          }
+        };
+        scan(true);
+        if (best.server != kInvalidId) {
+          if (!reactive) best.route = Route::kDirect;
+        } else if (reactive) {
+          scan(false);
+        } else if (any_holder_up(warm_holders[i], fault_aware ? faults : nullptr, t)) {
+          scan(false);
+          best.route = Route::kRelay;
+        }
+        return best;
+      };
+      const RoutePick route = pick(faults != nullptr);
+      if (route.server == kInvalidId) {
+        ++generation.unserved;
+        continue;
+      }
+      // Failovers count against the fault-oblivious primary: the pick the
+      // fault-free engine would have made, consulted only for this count.
+      if (faults != nullptr) {
+        const ServerId primary = pick(false).server;
+        if (primary != kInvalidId && !faults->is_up(primary, t)) ++generation.failovers;
+      }
       Request request;
       request.time = t;
       request.user = k;
       request.model = i;
+      request.spectral_efficiency = route.se;
+      request.route = route.route;
       request.seq = seq;
-      ServerId serve = kInvalidId;
-      double best_se = 0.0;
-      const auto link_se = [&](std::size_t l) {
-        return config.average_channel ? mean_se[l] : std::log2(1.0 + snr[l] * gain);
-      };
-      if (faults != nullptr) {
-        // Fault-oblivious primary pick (what the fault-free engine would
-        // route to) — consulted only to count failovers, never to route.
-        ServerId primary = kInvalidId;
-        double primary_se = 0.0;
-        const auto scan_primary = [&](bool warm_only) {
-          for (std::size_t l = begin; l < end; ++l) {
-            if (warm_only && !warm_holds(covering[l], i)) continue;
-            const double se = link_se(l);
-            if (se > primary_se) {
-              primary_se = se;
-              primary = covering[l];
-            }
-          }
-        };
-        scan_primary(true);
-        if (primary == kInvalidId && (reactive || relayable[i] != 0)) {
-          scan_primary(false);
-        }
-
-        // Fault-aware routing mirrors the fault-free priority structure, but
-        // only servers up at the arrival qualify and each link's SE is
-        // degraded by the schedule's per-server factor.
-        const auto degraded_se = [&](std::size_t l) {
-          return std::log2(1.0 + snr[l] * gain * faults->snr_factor(covering[l], t));
-        };
-        const auto scan_up = [&](bool warm_only) {
-          for (std::size_t l = begin; l < end; ++l) {
-            const ServerId m = covering[l];
-            if (warm_only && !warm_holds(m, i)) continue;
-            if (!faults->is_up(m, t)) continue;
-            const double se = degraded_se(l);
-            if (se > best_se) {
-              best_se = se;
-              serve = m;
-            }
-          }
-        };
-        scan_up(true);
-        if (serve != kInvalidId) {
-          if (!reactive) request.route = Route::kDirect;
-        } else if (reactive) {
-          scan_up(false);
-        } else {
-          // A static relay needs a *surviving* warm holder to source it; all
-          // holders down means the request is unserved outright (a static
-          // cache never degrades to the cloud).
-          bool source_up = false;
-          for (const ServerId holder : warm_holders[i]) {
-            if (faults->is_up(holder, t)) {
-              source_up = true;
-              break;
-            }
-          }
-          if (source_up) {
-            scan_up(false);
-            request.route = Route::kRelay;
-          }
-        }
-        if (primary != kInvalidId && serve != kInvalidId &&
-            !faults->is_up(primary, t)) {
-          ++generation.failovers;  // routed around a down primary
-        }
-      } else if (reactive) {
-        // Mirror the static delivery rule against the *warm* cache state
-        // first — a reactive cache must never route worse than the placement
-        // it started from. Models without a covering warm holder go to the
-        // best covering server outright; the replay resolves the miss there
-        // (backhaul pull from a warm holder when one exists, cloud fetch
-        // when none does) and admits the model: cache-on-relay.
-        for (std::size_t l = begin; l < end; ++l) {
-          if (!warm_holds(covering[l], i)) continue;
-          const double se = link_se(l);
-          if (se > best_se) {
-            best_se = se;
-            serve = covering[l];
-          }
-        }
-        if (serve == kInvalidId) {
-          for (std::size_t l = begin; l < end; ++l) {
-            const double se = link_se(l);
-            if (se > best_se) {
-              best_se = se;
-              serve = covering[l];
-            }
-          }
-        }
-      } else {
-        // Paper delivery: best covering server whose cache fully contains
-        // the model, else relay from a holder over the backhaul.
-        for (std::size_t l = begin; l < end; ++l) {
-          if (!warm_holds(covering[l], i)) continue;
-          const double se = link_se(l);
-          if (se > best_se) {
-            best_se = se;
-            serve = covering[l];
-          }
-        }
-        request.route = Route::kDirect;
-        if (serve == kInvalidId && relayable[i] != 0) {
-          for (std::size_t l = begin; l < end; ++l) {
-            const double se = link_se(l);
-            if (se > best_se) {
-              best_se = se;
-              serve = covering[l];
-            }
-          }
-          request.route = Route::kRelay;
-        }
-      }
-      if (serve == kInvalidId || best_se <= 0.0) {
-        ++generation.unserved;
-        continue;
-      }
-      request.spectral_efficiency = best_se;
-      buckets[serve].push_back(request);
+      buckets[route.server].push_back(request);
     }
   }
 
@@ -748,11 +671,10 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
   std::vector<ServeMetrics> slots(num_servers);
   support::parallel_for(
       num_servers, support::resolve_threads(config.threads), [&](std::size_t m) {
+        const auto server = static_cast<ServerId>(m);
         ServerLoop loop(topology, library, requests, config, *policies[m],
-                        relayable, std::move(buckets[m]),
-                        static_cast<ServerId>(m), faults,
-                        faults != nullptr ? &warm_holders : nullptr,
-                        &placement.models_on(static_cast<ServerId>(m)));
+                        std::move(buckets[m]), server, faults, warm_holders,
+                        placement.models_on(server));
         slots[m] = loop.run();
       });
 

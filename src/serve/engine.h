@@ -8,14 +8,21 @@
 //     seed.at(kUserStream, k) and emits a Poisson arrival process; per
 //     arrival the stream also draws the requested model (stationary
 //     RequestModel probabilities, or a workload::DriftingZipf when
-//     configured) and, with average_channel = false, one Rayleigh gain. The
-//     serving edge server is resolved at generation time against the *warm*
-//     (initial) cache state only — best covering warm holder, else best
-//     covering server outright — so every request lands in exactly one
-//     per-server bucket and the shards stay independent. Reactive routes are
-//     re-resolved against live cache state inside the shard: admitted models
-//     hit, evicted ones fetch again, and models a remote warm holder could
-//     relay are pulled over the backhaul and admitted (cache-on-relay).
+//     configured) and, with average_channel = false, one Rayleigh gain. One
+//     delivery rule (the paper's Eq. 4/5) then picks the serving edge
+//     server against the *warm* (initial) cache state:
+//       - the best covering server whose warm cache fully holds the model
+//         serves it directly;
+//       - otherwise a static cache relays it over the backhaul to the best
+//         covering server, provided some warm holder can source it, and a
+//         reactive cache sends it to the best covering server outright.
+//     "Best" is the highest downlink spectral efficiency. Every request
+//     lands in exactly one per-server bucket, so the shards stay
+//     independent. Reactive routes are re-resolved against live cache state
+//     inside the shard: admitted models hit, evicted ones fetch again, and
+//     models a warm holder could relay are pulled over the backhaul and
+//     admitted (cache-on-relay); with no warm holder they come from the
+//     cloud.
 //
 //  2. Sharded replay (parallel). Servers are independent queueing systems:
 //     bandwidth B is processor-shared among a server's own active flows,
@@ -33,21 +40,22 @@
 //
 // Fault injection (ServeConfig::faults, sim/fault_model.h). A deterministic
 // FaultSchedule threads through both stages without breaking shard
-// independence: generation routes every arrival among the servers *up at
-// its arrival time* (an arrival whose fault-oblivious primary choice is down
-// fails over to the best surviving warm holder — counted failovers — falling
-// back to relay/cloud resolution as usual), and each shard replays its own
-// outage intervals as kServerDown/kServerUp events. At kServerDown the
-// in-flight flows are killed and classified — failed_over when another up
-// warm holder covering the user survives, aborted otherwise — queued
+// independence. Generation applies the same delivery rule fault-aware: only
+// servers up at the arrival time qualify, a static relay needs a warm holder
+// that is up, and each downlink's SNR is scaled by its server's degradation
+// factor. The fault-oblivious pick is the arrival's primary; an arrival
+// served while its primary is down counts as a failover. Each shard replays
+// its own outage intervals as kServerDown/kServerUp events. At kServerDown
+// the in-flight flows are killed and classified — failed_over when another
+// up warm holder covering the user survives, aborted otherwise — queued
 // transfers die with the epoch stamp, and inference slots reset. At
 // kServerUp the cache restarts cold: reactive policies re-warm through their
 // normal admit-on-miss machinery (the recovery -> re-warm transient is
 // measured as rewarm_time_s once used bytes reach rewarm_fraction of the
 // warm footprint), static caches are re-pushed from the placement (operator
-// restore). Backhaul transfers are scaled by the schedule's brownout factor.
-// A nullptr — or inert — schedule replays the fault-free engine byte for
-// byte (tests/fault_model_test.cc locks this).
+// restore). Backhaul transfers are scaled by the schedule's brownout factor,
+// which never changes a route. A nullptr — or inert — schedule replays the
+// fault-free engine byte for byte (tests/fault_model_test.cc locks this).
 #pragma once
 
 #include <string>
@@ -67,8 +75,9 @@ class FaultSchedule;
 namespace trimcaching::serve {
 
 struct ServeConfig {
-  /// Mean request rate per user (requests/second).
+  /// Mean request rate per user (requests/second); finite and > 0.
   double arrival_rate_per_user = 0.05;
+  /// Simulated horizon in seconds; finite and > 0.
   double duration_s = 600.0;
   /// Flow spectral efficiency uses each user's average channel (distance
   /// path loss); set false to re-draw one Rayleigh gain per request.
@@ -76,7 +85,8 @@ struct ServeConfig {
   /// Cache policy spec per make_cache_policy, one instance per server:
   /// static | lru | ewma[:tau_s=60] | priority.
   std::string policy = "static";
-  /// Effective cloud-to-edge fetch rate for reactive cache misses.
+  /// Effective cloud-to-edge fetch rate for reactive cache misses (bit/s);
+  /// finite and > 0.
   double cloud_rate_bps = 300e6;
   /// Concurrent edge-inference slots per server; 0 = unlimited (compute-
   /// oblivious replay, bit-identical to the pre-compute engine). A request
@@ -104,6 +114,9 @@ struct ServeConfig {
   /// climb back to this fraction of its warm-placement footprint.
   double rewarm_fraction = 0.9;
 
+  /// Throws std::invalid_argument naming the offending knob: a rate,
+  /// duration or cloud rate that is NaN, infinite or <= 0, a rewarm
+  /// fraction outside (0, 1], or a bad policy spec (ewma's tau_s included).
   void validate() const;
 };
 
@@ -117,7 +130,8 @@ struct ServeResult {
   double p95_download_s = 0.0;
   double p99_download_s = 0.0;
   double mean_concurrency = 0.0;  ///< time-averaged flows per busy server
-  double served_rps = 0.0;        ///< completed downloads / duration
+  double served_rps = 0.0;        ///< completed downloads per simulated
+                                  ///< second (completed / duration_s)
   double mean_rewarm_s = 0.0;     ///< mean recovery -> re-warm transient
                                   ///< (0 when no re-warm completed)
 };

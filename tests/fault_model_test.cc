@@ -6,7 +6,9 @@
 //     across every ServeMetrics field and derived statistic;
 //   * thread bit-identity under an outage storm — threads=1 and threads=8
 //     agree exactly, including every new failure counter and the
-//     time-sliced hit-ratio windows;
+//     time-sliced hit-ratio windows, at average and per-request channels;
+//   * brownouts never reroute — a brownout-only schedule routes every
+//     arrival exactly like the fault-free run, with no failovers;
 //   * the six terminal states (hits, late, unserved, cloud, failed-over,
 //     aborted) partition the request count exactly under faults;
 //   * recovery semantics — reactive caches come back cold and measure a
@@ -184,12 +186,53 @@ TEST_F(FaultModelTest, StormReplayIsBitIdenticalAcrossThreadCounts) {
   config.faults = &schedule;
   config.queue_depth_samples = 32;
   config.hit_series_windows = 8;
-  config.threads = 1;
-  const auto serial = run(config, 11);
-  config.threads = 8;
-  const auto threaded = run(config, 11);
-  EXPECT_GT(serial.totals.outages, 0u);
-  expect_identical(serial, threaded);
+  // Per-request fading multiplies each gain by the degradation factor, a
+  // product the average channel never forms.
+  for (const bool average_channel : {true, false}) {
+    config.average_channel = average_channel;
+    config.threads = 1;
+    const auto serial = run(config, 11);
+    config.threads = 8;
+    const auto threaded = run(config, 11);
+    EXPECT_GT(serial.totals.outages, 0u);
+    expect_identical(serial, threaded);
+  }
+}
+
+TEST_F(FaultModelTest, BrownoutOnlyScheduleRoutesLikeNoSchedule) {
+  // A brownout slows backhaul transfers but takes no server down and
+  // degrades no downlink, so every arrival must route exactly as in the
+  // fault-free run: same servers, same direct/relay split, no failovers.
+  sim::FaultScheduleConfig brownout_config;
+  brownout_config.duration_s = 400.0;
+  brownout_config.brownout_factor = 0.5;
+  brownout_config.brownout_mtbf_s = 200.0;
+  brownout_config.brownout_mttr_s = 60.0;
+  const sim::FaultSchedule brownouts(scenario_->topology.num_servers(),
+                                     brownout_config, Rng(17));
+  ASSERT_FALSE(brownouts.inert());
+  ASSERT_EQ(brownouts.total_outages(), 0u);
+  ASSERT_FALSE(brownouts.brownouts().empty());
+
+  serve::ServeConfig config;
+  config.arrival_rate_per_user = 0.3;
+  config.duration_s = 400.0;
+  config.policy = "static";
+  config.hit_series_windows = 8;
+  for (const bool average_channel : {true, false}) {
+    config.average_channel = average_channel;
+    config.faults = nullptr;
+    const auto clean = run(config, 11);
+    config.faults = &brownouts;
+    const auto browned = run(config, 11);
+    EXPECT_GT(clean.totals.relays, 0u);
+    EXPECT_EQ(browned.totals.requests, clean.totals.requests);
+    EXPECT_EQ(browned.totals.unserved, clean.totals.unserved);
+    EXPECT_EQ(browned.totals.edge_hits, clean.totals.edge_hits);
+    EXPECT_EQ(browned.totals.relays, clean.totals.relays);
+    EXPECT_EQ(browned.totals.window_requests, clean.totals.window_requests);
+    EXPECT_EQ(browned.totals.failovers, 0u);
+  }
 }
 
 TEST_F(FaultModelTest, TerminalStatesPartitionRequestsUnderStorm) {

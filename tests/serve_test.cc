@@ -1,12 +1,15 @@
 // Tests for the online serving subsystem: virtual-time processor sharing
 // (stale-event discipline), request merging, the drifting-Zipf workload,
-// thread-count bit-identity, the cache-policy factory, and the streaming
-// metrics (latency histogram, queue-depth series).
+// thread-count bit-identity, config and cache-policy validation (every bad
+// knob is named), and the streaming metrics (latency histogram, queue-depth
+// series).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "src/core/trimcaching_gen.h"
 #include "src/serve/cache_policy.h"
@@ -338,6 +341,48 @@ TEST(CachePolicyFactory, KnownPoliciesConstructAndReportNames) {
     const auto policy = serve::make_cache_policy(name);
     EXPECT_EQ(policy->name(), name);
     EXPECT_EQ(policy->reactive(), name != "static");
+  }
+}
+
+/// `fn` throws std::invalid_argument whose message names `knob`.
+template <typename Fn>
+void expect_rejects_naming(Fn fn, const std::string& knob) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted a bad " << knob;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(knob), std::string::npos) << e.what();
+  }
+}
+
+TEST(ServeConfigValidation, RejectsNonFiniteOrNonPositiveKnobsNamingThem) {
+  // An infinite arrival rate makes every exponential gap 0 and an infinite
+  // duration never ends, so either would hang generation; NaN slips past a
+  // bare `<= 0` test.
+  const double bad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(), 0.0, -1.0};
+  for (const double value : bad) {
+    serve::ServeConfig config;
+    config.arrival_rate_per_user = value;
+    expect_rejects_naming([&] { config.validate(); }, "arrival_rate_per_user");
+    config = serve::ServeConfig{};
+    config.duration_s = value;
+    expect_rejects_naming([&] { config.validate(); }, "duration_s");
+    config = serve::ServeConfig{};
+    config.cloud_rate_bps = value;
+    expect_rejects_naming([&] { config.validate(); }, "cloud_rate_bps");
+  }
+  EXPECT_NO_THROW(serve::ServeConfig{}.validate());
+}
+
+TEST(CachePolicyFactory, EwmaRejectsNonFiniteTauNamingIt) {
+  // A NaN tau would put NaN scores into the eviction order.
+  for (const char* spec : {"ewma:tau_s=nan", "ewma:tau_s=inf", "ewma:tau_s=-inf",
+                           "ewma:tau_s=0", "ewma:tau_s=-5"}) {
+    expect_rejects_naming([&] { (void)serve::make_cache_policy(spec); }, "tau_s");
+    serve::ServeConfig config;
+    config.policy = spec;
+    expect_rejects_naming([&] { config.validate(); }, "tau_s");
   }
 }
 

@@ -263,6 +263,14 @@ int main(int argc, char** argv) {
           "faults: must be in [0, 1] (fraction of failure-prone servers), got " +
           std::to_string(faults));
     }
+    // An infinite rate would make every arrival gap 0 and never end the
+    // replay; NaN would silently skip it.
+    const double arrivals = options.get_double("arrivals", 0.0);
+    if (!std::isfinite(arrivals) || arrivals < 0) {
+      throw std::invalid_argument(
+          "arrivals: must be finite and >= 0 (per-user req/s, 0 = off), got " +
+          std::to_string(arrivals));
+    }
     const double mtbf = options.get_double("mtbf", 120.0);
     const double mttr = options.get_double("mttr", 30.0);
     if (faults > 0) {
