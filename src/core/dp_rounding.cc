@@ -20,6 +20,10 @@ using support::DynamicBitset;
 
 constexpr Bytes kInfWeight = std::numeric_limits<Bytes>::max();
 
+/// Resolution of the joint mode's compute axis: the DP table is
+/// (weight_states + 1) x (kComputeStates + 1) per traversal level.
+constexpr std::size_t kComputeStates = 64;
+
 struct Candidate {
   ModelId id = 0;
   double utility = 0.0;
@@ -30,161 +34,48 @@ struct Candidate {
 };
 
 // ---------------------------------------------------------------------------
-// Inner 0/1 knapsacks with traceback (used to reconstruct the winning leaf).
-// ---------------------------------------------------------------------------
-
-struct KnapsackPick {
-  std::vector<std::size_t> chosen;  ///< indices into the item vector
-  double utility_sum = 0.0;
-};
-
-/// Profit-indexed min-weight DP (the paper's Eq. 16) with traceback.
-KnapsackPick knapsack_profit(const std::vector<Candidate>& items, Bytes budget) {
-  std::uint64_t max_profit = 0;
-  for (const auto& it : items) max_profit += it.rounded;
-  std::vector<Bytes> weight(max_profit + 1, kInfWeight);
-  weight[0] = 0;
-  std::vector<std::vector<char>> keep(items.size(),
-                                      std::vector<char>(max_profit + 1, 0));
-  std::uint64_t reach = 0;
-  for (std::size_t e = 0; e < items.size(); ++e) {
-    const auto& it = items[e];
-    reach += it.rounded;
-    if (it.rounded == 0) continue;
-    for (std::uint64_t w = reach; w >= it.rounded; --w) {
-      const Bytes base = weight[w - it.rounded];
-      if (base == kInfWeight) continue;
-      const Bytes candidate_weight = base + it.specific_size;
-      if (candidate_weight < weight[w]) {
-        weight[w] = candidate_weight;
-        keep[e][w] = 1;
-      }
-      if (w == it.rounded) break;  // unsigned loop guard
-    }
-  }
-  std::uint64_t best = 0;
-  for (std::uint64_t w = max_profit;; --w) {
-    if (weight[w] <= budget) {
-      best = w;
-      break;
-    }
-    if (w == 0) break;
-  }
-  KnapsackPick pick;
-  std::uint64_t w = best;
-  for (std::size_t e = items.size(); e-- > 0;) {
-    if (w >= items[e].rounded && items[e].rounded > 0 && keep[e][w]) {
-      pick.chosen.push_back(e);
-      pick.utility_sum += items[e].utility;
-      w -= items[e].rounded;
-    }
-  }
-  std::reverse(pick.chosen.begin(), pick.chosen.end());
-  return pick;
-}
-
-/// Weight-indexed max-profit DP with traceback.
-KnapsackPick knapsack_weight(const std::vector<Candidate>& items,
-                             std::size_t budget_states) {
-  std::vector<double> value(budget_states + 1, 0.0);
-  std::vector<std::vector<char>> keep(items.size(),
-                                      std::vector<char>(budget_states + 1, 0));
-  for (std::size_t e = 0; e < items.size(); ++e) {
-    const std::size_t wq = items[e].quantized;
-    if (wq > budget_states) continue;
-    for (std::size_t w = budget_states; w >= wq; --w) {
-      const double candidate_value = value[w - wq] + items[e].utility;
-      if (candidate_value > value[w]) {
-        value[w] = candidate_value;
-        keep[e][w] = 1;
-      }
-      if (w == wq) break;
-    }
-  }
-  KnapsackPick pick;
-  std::size_t w = budget_states;
-  for (std::size_t e = items.size(); e-- > 0;) {
-    if (keep[e][w]) {
-      pick.chosen.push_back(e);
-      pick.utility_sum += items[e].utility;
-      w -= items[e].quantized;
-    }
-  }
-  std::reverse(pick.chosen.begin(), pick.chosen.end());
-  return pick;
-}
-
-/// Joint (storage x compute) weight-indexed max-profit DP with traceback.
-/// Cell (s, c) holds the best utility over selections with quantized storage
-/// <= s and quantized compute <= c; the traceback starts from the full
-/// budgets. Ceil quantization on both axes keeps every pick feasible.
-KnapsackPick knapsack_joint(const std::vector<Candidate>& items,
-                            std::size_t storage_states,
-                            std::size_t compute_states) {
-  const std::size_t stride = compute_states + 1;
-  const std::size_t cells = (storage_states + 1) * stride;
-  std::vector<double> value(cells, 0.0);
-  std::vector<std::vector<char>> keep(items.size(), std::vector<char>(cells, 0));
-  for (std::size_t e = 0; e < items.size(); ++e) {
-    const std::size_t wq = items[e].quantized;
-    const std::size_t cq = items[e].compute_q;
-    if (wq > storage_states || cq > compute_states) continue;
-    for (std::size_t s = storage_states; s >= wq; --s) {
-      for (std::size_t c = compute_states; c >= cq; --c) {
-        const double candidate_value =
-            value[(s - wq) * stride + (c - cq)] + items[e].utility;
-        if (candidate_value > value[s * stride + c]) {
-          value[s * stride + c] = candidate_value;
-          keep[e][s * stride + c] = 1;
-        }
-        if (c == cq) break;
-      }
-      if (s == wq) break;
-    }
-  }
-  KnapsackPick pick;
-  std::size_t s = storage_states;
-  std::size_t c = compute_states;
-  for (std::size_t e = items.size(); e-- > 0;) {
-    if (keep[e][s * stride + c]) {
-      pick.chosen.push_back(e);
-      pick.utility_sum += items[e].utility;
-      s -= items[e].quantized;
-      c -= items[e].compute_q;
-    }
-  }
-  std::reverse(pick.chosen.begin(), pick.chosen.end());
-  return pick;
-}
-
-// ---------------------------------------------------------------------------
-// Incremental (no-traceback) DP state used during combination traversal.
+// Inner 0/1 knapsacks, one type per mode. Each writes its recurrence once, in
+// add(); the traversal scores leaves with it and the winning leaf is
+// reconstructed by replaying its members through fresh() (see solve_leaves()).
+// Shared shape:
+//   table         flat DP states (states no add() reached hold kUnset)
+//   add(c)        fold one candidate in
+//   score(b)      leaf score within shared-free budget b (comparable in-mode)
+//   start(b)      flat state the traceback starts from
+//   step(c)       flat offset a kept candidate moves the traceback by
+//   fresh(b)      empty DP for replaying a leaf with budget b
 // ---------------------------------------------------------------------------
 
 /// Minimum number of DP states before an add() shards the state axis over
 /// the thread pool; below this the snapshot copy costs more than it saves.
 constexpr std::uint64_t kParallelFillStates = 1u << 16;
 
-/// Profit-indexed: state[w] = min weight to reach rounded profit exactly w.
+/// Profit-indexed (the paper's Eq. 16): table[w] = min weight to reach
+/// rounded profit exactly w.
 struct ProfitDp {
-  std::vector<Bytes> weight{0};  // weight[0] = 0
+  static constexpr Bytes kUnset = kInfWeight;
+  std::vector<Bytes> table{0};  // table[0] = 0
   std::uint64_t reach = 0;
+  std::size_t max_states = 0;
+  std::size_t threads = 1;
 
-  void add(const Candidate& it, std::size_t max_profit_states,
-           std::size_t threads = 1) {
+  ProfitDp(std::size_t max_profit_states, std::size_t fill_threads)
+      : max_states(max_profit_states), threads(fill_threads) {}
+
+  void add(const Candidate& it) {
     if (it.rounded == 0) return;
     reach += it.rounded;
-    if (reach + 1 > max_profit_states) {
+    if (reach + 1 > max_states) {
       throw std::runtime_error("ProfitDp: profit state space exceeds configured limit");
     }
-    weight.resize(reach + 1, kInfWeight);
+    table.resize(reach + 1, kUnset);
     const std::uint64_t span = reach - it.rounded + 1;
     if (threads != 1 && span >= kParallelFillStates &&
         !support::inside_parallel_region()) {
       // Sharded fill against a snapshot of the previous row: the serial
       // descending loop also reads only pre-update values, so each state is
       // independent and the integer min is bit-identical at any shard count.
-      const std::vector<Bytes> prev = weight;
+      const std::vector<Bytes> prev = table;
       const std::size_t shards = support::resolve_threads(threads);
       support::parallel_for(shards, shards, [&](std::size_t s) {
         const std::uint64_t lo = it.rounded + span * s / shards;
@@ -192,92 +83,112 @@ struct ProfitDp {
         for (std::uint64_t w = lo; w < hi; ++w) {
           const Bytes base = prev[w - it.rounded];
           if (base != kInfWeight) {
-            weight[w] = std::min(prev[w], base + it.specific_size);
+            table[w] = std::min(prev[w], base + it.specific_size);
           }
         }
       });
       return;
     }
     for (std::uint64_t w = reach; w >= it.rounded; --w) {
-      const Bytes base = weight[w - it.rounded];
+      const Bytes base = table[w - it.rounded];
       if (base != kInfWeight) {
-        weight[w] = std::min(weight[w], base + it.specific_size);
+        table[w] = std::min(table[w], base + it.specific_size);
       }
       if (w == it.rounded) break;
     }
   }
 
   /// Largest rounded profit achievable within `budget`.
-  [[nodiscard]] std::uint64_t query(Bytes budget) const {
+  [[nodiscard]] std::size_t start(Bytes budget) const {
     for (std::uint64_t w = reach;; --w) {
-      if (weight[w] <= budget) return w;
+      if (table[w] <= budget) return w;
       if (w == 0) return 0;
     }
   }
+  [[nodiscard]] double score(Bytes budget) const {
+    return static_cast<double>(start(budget));
+  }
+  [[nodiscard]] static std::size_t step(const Candidate& it) { return it.rounded; }
+  [[nodiscard]] ProfitDp fresh(Bytes /*budget*/) const {
+    return ProfitDp(max_states, threads);
+  }
 };
 
-/// Weight-indexed: state[w] = max utility with quantized weight ≤ w.
+/// Weight-indexed: table[w] = max utility with quantized weight ≤ w.
 struct WeightDp {
-  std::vector<double> value;
+  static constexpr double kUnset = 0.0;
+  std::vector<double> table;
+  Bytes quantum = 1;
+  std::size_t threads = 1;
 
-  explicit WeightDp(std::size_t states) : value(states + 1, 0.0) {}
+  WeightDp(std::size_t states, Bytes weight_quantum, std::size_t fill_threads)
+      : table(states + 1, kUnset), quantum(weight_quantum), threads(fill_threads) {}
 
-  void add(const Candidate& it, std::size_t threads = 1) {
+  void add(const Candidate& it) {
     const std::size_t wq = it.quantized;
-    if (wq >= value.size()) return;  // never fits
-    const std::size_t span = value.size() - wq;
+    if (wq >= table.size()) return;  // never fits
+    const std::size_t span = table.size() - wq;
     if (threads != 1 && span >= kParallelFillStates &&
         !support::inside_parallel_region()) {
       // Same snapshot sharding as ProfitDp: per-state max over pre-update
       // values only, so any shard count produces identical bits.
-      const std::vector<double> prev = value;
+      const std::vector<double> prev = table;
       const std::size_t shards = support::resolve_threads(threads);
       support::parallel_for(shards, shards, [&](std::size_t s) {
         const std::size_t lo = wq + span * s / shards;
         const std::size_t hi = wq + span * (s + 1) / shards;
         for (std::size_t w = lo; w < hi; ++w) {
-          value[w] = std::max(prev[w], prev[w - wq] + it.utility);
+          table[w] = std::max(prev[w], prev[w - wq] + it.utility);
         }
       });
       return;
     }
-    for (std::size_t w = value.size() - 1; w >= wq; --w) {
-      value[w] = std::max(value[w], value[w - wq] + it.utility);
+    for (std::size_t w = table.size() - 1; w >= wq; --w) {
+      table[w] = std::max(table[w], table[w - wq] + it.utility);
       if (w == wq) break;
     }
   }
 
-  [[nodiscard]] double query(std::size_t budget_state) const {
-    return value[std::min(budget_state, value.size() - 1)];
+  [[nodiscard]] std::size_t start(Bytes budget) const {
+    return std::min(static_cast<std::size_t>(budget / quantum), table.size() - 1);
+  }
+  [[nodiscard]] double score(Bytes budget) const { return table[start(budget)]; }
+  [[nodiscard]] static std::size_t step(const Candidate& it) { return it.quantized; }
+  [[nodiscard]] WeightDp fresh(Bytes budget) const {
+    return WeightDp(static_cast<std::size_t>(budget / quantum), quantum, threads);
   }
 };
 
-/// Joint (storage x compute) incremental DP: the traversal's storage budget
-/// varies with the shared-combination size, the compute budget is the whole
-/// server budget at every leaf, so query() reads the last compute column.
-/// Serial fill only — the 2D add is already O(S·C) per item and the joint
-/// path runs at test scales.
+/// Joint (storage x compute) weight-indexed DP: cell (s, c) holds the best
+/// utility over selections with quantized storage ≤ s and quantized compute
+/// ≤ c, flattened as s·(kComputeStates+1) + c. The traversal's storage budget
+/// varies with the shared-combination size; the compute budget is the whole
+/// server budget at every leaf, so start() reads the last compute column.
+/// Ceil quantization on both axes keeps every pick feasible. Serial fill
+/// only — the 2D add is already O(S·C) per item and the joint path runs at
+/// test scales.
 struct JointDp {
+  static constexpr double kUnset = 0.0;
+  static constexpr std::size_t kStride = kComputeStates + 1;
   std::size_t storage_states;
-  std::size_t compute_states;
-  std::vector<double> value;
+  Bytes quantum = 1;
+  std::vector<double> table;
 
-  JointDp(std::size_t s_states, std::size_t c_states)
+  JointDp(std::size_t s_states, Bytes weight_quantum)
       : storage_states(s_states),
-        compute_states(c_states),
-        value((s_states + 1) * (c_states + 1), 0.0) {}
+        quantum(weight_quantum),
+        table((s_states + 1) * kStride, kUnset) {}
 
   void add(const Candidate& it) {
     const std::size_t wq = it.quantized;
     const std::size_t cq = it.compute_q;
-    if (wq > storage_states || cq > compute_states) return;  // never fits
-    const std::size_t stride = compute_states + 1;
+    if (wq > storage_states || cq > kComputeStates) return;  // never fits
     for (std::size_t s = storage_states; s >= wq; --s) {
-      for (std::size_t c = compute_states; c >= cq; --c) {
+      for (std::size_t c = kComputeStates; c >= cq; --c) {
         const double candidate_value =
-            value[(s - wq) * stride + (c - cq)] + it.utility;
-        if (candidate_value > value[s * stride + c]) {
-          value[s * stride + c] = candidate_value;
+            table[(s - wq) * kStride + (c - cq)] + it.utility;
+        if (candidate_value > table[s * kStride + c]) {
+          table[s * kStride + c] = candidate_value;
         }
         if (c == cq) break;
       }
@@ -285,9 +196,17 @@ struct JointDp {
     }
   }
 
-  [[nodiscard]] double query(std::size_t storage_budget_state) const {
-    const std::size_t s = std::min(storage_budget_state, storage_states);
-    return value[s * (compute_states + 1) + compute_states];
+  [[nodiscard]] std::size_t start(Bytes budget) const {
+    const std::size_t s =
+        std::min(static_cast<std::size_t>(budget / quantum), storage_states);
+    return s * kStride + kComputeStates;
+  }
+  [[nodiscard]] double score(Bytes budget) const { return table[start(budget)]; }
+  [[nodiscard]] static std::size_t step(const Candidate& it) {
+    return it.quantized * kStride + it.compute_q;
+  }
+  [[nodiscard]] JointDp fresh(Bytes budget) const {
+    return JointDp(static_cast<std::size_t>(budget / quantum), quantum);
   }
 };
 
@@ -440,7 +359,7 @@ Decomposition decompose(const ModelLibrary& library,
 }
 
 // ---------------------------------------------------------------------------
-// Chain traversal with incremental DP.
+// Leaf search (chain traversal or closure fallback) and winner replay.
 // ---------------------------------------------------------------------------
 
 struct BestLeaf {
@@ -450,14 +369,13 @@ struct BestLeaf {
   Bytes shared_size = 0;
 };
 
-template <typename Dp, typename AddFn, typename QueryFn>
-void traverse(const std::vector<Chain>& chains, std::size_t f, const Dp& dp,
-              Bytes used_shared, Bytes capacity, std::vector<std::size_t>& levels,
-              std::size_t& visited, BestLeaf& best, const AddFn& add,
-              const QueryFn& query) {
+template <typename Dp>
+void traverse(const std::vector<Chain>& chains, const std::vector<Candidate>& candidates,
+              std::size_t f, const Dp& dp, Bytes used_shared, Bytes capacity,
+              std::vector<std::size_t>& levels, std::size_t& visited, BestLeaf& best) {
   if (f == chains.size()) {
     ++visited;
-    const double score = query(dp, capacity - used_shared);
+    const double score = dp.score(capacity - used_shared);
     if (!best.valid || score > best.score) {
       best.valid = true;
       best.score = score;
@@ -468,16 +386,97 @@ void traverse(const std::vector<Chain>& chains, std::size_t f, const Dp& dp,
   }
   const Chain& chain = chains[f];
   levels[f] = 0;
-  traverse(chains, f + 1, dp, used_shared, capacity, levels, visited, best, add, query);
+  traverse(chains, candidates, f + 1, dp, used_shared, capacity, levels, visited, best);
   Dp local = dp;
   for (std::size_t t = 1; t < chain.cum_size.size(); ++t) {
     if (used_shared + chain.cum_size[t] > capacity) break;  // cum sizes increase
-    for (const std::size_t c : chain.at_level[t]) add(local, c);
+    for (const std::size_t c : chain.at_level[t]) local.add(candidates[c]);
     levels[f] = t;
-    traverse(chains, f + 1, local, used_shared + chain.cum_size[t], capacity, levels,
-             visited, best, add, query);
+    traverse(chains, candidates, f + 1, local, used_shared + chain.cum_size[t],
+             capacity, levels, visited, best);
   }
   levels[f] = 0;
+}
+
+/// Finds the best leaf with `empty` as every leaf's starting DP, then
+/// reconstructs its picks by replaying the leaf's members, in the order the
+/// search added them, through a fresh DP. add() only ever lowers (profit) or
+/// raises (weight, joint) a state, so a state changed under member e exactly
+/// when taking e is optimal there — the keep bit of a classic traceback.
+template <typename Dp>
+void solve_leaves(const ModelLibrary& library, const std::vector<Candidate>& candidates,
+                  const Decomposition& decomposition, const Dp& empty, Bytes capacity,
+                  ServerSubproblemResult& result) {
+  BestLeaf best;
+  std::size_t visited = 0;
+  std::vector<std::size_t> members;  // candidate indices of the winning leaf
+  if (decomposition.closure.empty()) {
+    // Chain path: incremental DP along each chain.
+    result.used_chain_path = true;
+    std::vector<std::size_t> levels(decomposition.chains.size(), 0);
+    Dp dp = empty;
+    for (const std::size_t c : decomposition.base) dp.add(candidates[c]);
+    traverse(decomposition.chains, candidates, 0, dp, Bytes{0}, capacity, levels,
+             visited, best);
+    if (best.valid) {
+      members = decomposition.base;
+      for (std::size_t f = 0; f < decomposition.chains.size(); ++f) {
+        const Chain& chain = decomposition.chains[f];
+        for (std::size_t t = 1; t <= best.levels[f]; ++t) {
+          members.insert(members.end(), chain.at_level[t].begin(),
+                         chain.at_level[t].end());
+        }
+      }
+    }
+  } else {
+    // Generic fallback: per-combination knapsack from scratch.
+    for (const DynamicBitset& combo : decomposition.closure) {
+      const Bytes shared_size = library.combination_size(combo);
+      if (shared_size > capacity) continue;
+      ++visited;
+      std::vector<std::size_t> covered = decomposition.base;
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        const DynamicBitset& part = library.shared_part(candidates[c].id);
+        if (part.any() && part.is_subset_of(combo)) covered.push_back(c);
+      }
+      Dp dp = empty;
+      for (const std::size_t c : covered) dp.add(candidates[c]);
+      const double score = dp.score(capacity - shared_size);
+      if (!best.valid || score > best.score) {
+        best.valid = true;
+        best.score = score;
+        best.shared_size = shared_size;
+        members = std::move(covered);
+      }
+    }
+  }
+
+  result.combinations_visited = visited;
+  if (!best.valid || best.score <= 0.0) return;
+
+  const Bytes budget = capacity - best.shared_size;
+  Dp dp = empty.fresh(budget);
+  std::vector<std::vector<char>> changed(members.size());
+  decltype(dp.table) before;
+  for (std::size_t e = 0; e < members.size(); ++e) {
+    before = dp.table;
+    dp.add(candidates[members[e]]);
+    before.resize(dp.table.size(), Dp::kUnset);
+    changed[e].resize(dp.table.size());
+    for (std::size_t w = 0; w < dp.table.size(); ++w) {
+      changed[e][w] = dp.table[w] != before[w];
+    }
+  }
+  std::size_t state = dp.start(budget);
+  for (std::size_t e = members.size(); e-- > 0;) {
+    if (state < changed[e].size() && changed[e][state]) {
+      const Candidate& it = candidates[members[e]];
+      result.value += it.utility;
+      result.models.push_back(it.id);
+      state -= Dp::step(it);
+    }
+  }
+  std::sort(result.models.begin(), result.models.end());
 }
 
 }  // namespace
@@ -494,11 +493,15 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
   if (utilities.size() != library.num_models()) {
     throw std::invalid_argument("solve_server_subproblem: utilities size mismatch");
   }
-  if (config.epsilon < 0.0 || config.epsilon > 1.0) {
-    throw std::invalid_argument("solve_server_subproblem: epsilon must be in [0, 1]");
+  if (!(config.epsilon >= 0.0 && config.epsilon <= 1.0)) {
+    throw std::invalid_argument(
+        "solve_server_subproblem: eps (epsilon) must be in [0, 1]");
   }
-  if (config.mode == DpMode::kWeightQuantized && config.weight_states == 0) {
-    throw std::invalid_argument("solve_server_subproblem: weight_states must be > 0");
+  // Every mode derives the storage quantum from weight_states (the joint
+  // mode's storage axis), so 0 would divide by zero even in profit mode.
+  if (config.weight_states == 0) {
+    throw std::invalid_argument(
+        "solve_server_subproblem: weight_states (states) must be > 0");
   }
   const bool joint = compute_loads != nullptr &&
                      compute_budget != std::numeric_limits<double>::infinity();
@@ -506,10 +509,6 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
     if (compute_loads->size() != library.num_models()) {
       throw std::invalid_argument(
           "solve_server_subproblem: compute_loads size mismatch");
-    }
-    if (config.compute_states == 0) {
-      throw std::invalid_argument(
-          "solve_server_subproblem: compute_states must be > 0 in joint mode");
     }
     if (std::isnan(compute_budget) || compute_budget < 0) {
       throw std::invalid_argument(
@@ -525,8 +524,9 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
   double min_utility = std::numeric_limits<double>::infinity();
   for (ModelId i = 0; i < library.num_models(); ++i) {
     const double u = utilities[i];
-    if (u < 0.0) {
-      throw std::invalid_argument("solve_server_subproblem: negative utility");
+    if (!(u >= 0.0) || std::isinf(u)) {
+      throw std::invalid_argument(
+          "solve_server_subproblem: utility must be finite and >= 0");
     }
     if (u <= 0.0) continue;
     Candidate cand;
@@ -546,7 +546,7 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
       std::max<Bytes>(1, (capacity + config.weight_states - 1) / config.weight_states);
   const double compute_quantum =
       joint && compute_budget > 0
-          ? compute_budget / static_cast<double>(config.compute_states)
+          ? compute_budget / static_cast<double>(kComputeStates)
           : 1.0;
   for (auto& cand : candidates) {
     cand.rounded =
@@ -560,13 +560,13 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
       if (load <= 0) {
         cand.compute_q = 0;
       } else if (compute_budget <= 0) {
-        cand.compute_q = config.compute_states + 1;  // never fits
+        cand.compute_q = kComputeStates + 1;  // never fits
       } else {
         // Ceil quantization, clamped to the full budget: a model whose lone
         // optimistic load overshoots may still serve a feasible subset of
         // its users, so it stays placeable (consuming the whole budget).
         cand.compute_q = std::min<std::size_t>(
-            config.compute_states,
+            kComputeStates,
             static_cast<std::size_t>(std::ceil(load / compute_quantum)));
       }
     }
@@ -581,121 +581,19 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
     }
   }
 
-  Decomposition decomposition = decompose(library, candidates, config.max_combinations);
-
-  BestLeaf best;
-  std::size_t visited = 0;
-  std::vector<std::size_t> best_member_set;  // candidate indices of winning leaf
-
-  auto collect_members = [&](const std::vector<std::size_t>& levels) {
-    std::vector<std::size_t> members = decomposition.base;
-    for (std::size_t f = 0; f < decomposition.chains.size(); ++f) {
-      const Chain& chain = decomposition.chains[f];
-      for (std::size_t t = 1; t <= levels[f]; ++t) {
-        members.insert(members.end(), chain.at_level[t].begin(),
-                       chain.at_level[t].end());
-      }
-    }
-    return members;
-  };
-
-  if (decomposition.closure.empty()) {
-    // Chain path: incremental DP along each chain.
-    result.used_chain_path = true;
-    std::vector<std::size_t> levels(decomposition.chains.size(), 0);
-    if (joint) {
-      JointDp dp(config.weight_states, config.compute_states);
-      for (const std::size_t c : decomposition.base) dp.add(candidates[c]);
-      traverse(
-          decomposition.chains, 0, dp, Bytes{0}, capacity, levels, visited, best,
-          [&](JointDp& d, std::size_t c) { d.add(candidates[c]); },
-          [&](const JointDp& d, Bytes budget) {
-            return d.query(static_cast<std::size_t>(budget / quantum));
-          });
-    } else if (config.mode == DpMode::kProfitRounding) {
-      ProfitDp dp;
-      for (const std::size_t c : decomposition.base) {
-        dp.add(candidates[c], config.max_profit_states, config.threads);
-      }
-      traverse(
-          decomposition.chains, 0, dp, Bytes{0}, capacity, levels, visited, best,
-          [&](ProfitDp& d, std::size_t c) {
-            d.add(candidates[c], config.max_profit_states, config.threads);
-          },
-          [](const ProfitDp& d, Bytes budget) {
-            return static_cast<double>(d.query(budget));
-          });
-    } else {
-      WeightDp dp(config.weight_states);
-      for (const std::size_t c : decomposition.base) {
-        dp.add(candidates[c], config.threads);
-      }
-      traverse(
-          decomposition.chains, 0, dp, Bytes{0}, capacity, levels, visited, best,
-          [&](WeightDp& d, std::size_t c) { d.add(candidates[c], config.threads); },
-          [&](const WeightDp& d, Bytes budget) {
-            return d.query(static_cast<std::size_t>(budget / quantum));
-          });
-    }
-    if (best.valid) best_member_set = collect_members(best.levels);
+  const Decomposition decomposition =
+      decompose(library, candidates, config.max_combinations);
+  if (joint) {
+    solve_leaves(library, candidates, decomposition,
+                 JointDp(config.weight_states, quantum), capacity, result);
+  } else if (config.mode == DpMode::kProfitRounding) {
+    solve_leaves(library, candidates, decomposition,
+                 ProfitDp(config.max_profit_states, config.threads), capacity, result);
   } else {
-    // Generic fallback: per-combination knapsack from scratch.
-    for (const DynamicBitset& combo : decomposition.closure) {
-      const Bytes shared_size = library.combination_size(combo);
-      if (shared_size > capacity) continue;
-      ++visited;
-      std::vector<std::size_t> members = decomposition.base;
-      for (std::size_t c = 0; c < candidates.size(); ++c) {
-        const DynamicBitset& part = library.shared_part(candidates[c].id);
-        if (part.any() && part.is_subset_of(combo)) members.push_back(c);
-      }
-      std::vector<Candidate> items;
-      items.reserve(members.size());
-      for (const std::size_t c : members) items.push_back(candidates[c]);
-      const Bytes budget = capacity - shared_size;
-      double score = 0.0;
-      if (joint) {
-        JointDp dp(config.weight_states, config.compute_states);
-        for (const auto& it : items) dp.add(it);
-        score = dp.query(static_cast<std::size_t>(budget / quantum));
-      } else if (config.mode == DpMode::kProfitRounding) {
-        ProfitDp dp;
-        for (const auto& it : items) {
-          dp.add(it, config.max_profit_states, config.threads);
-        }
-        score = static_cast<double>(dp.query(budget));
-      } else {
-        WeightDp dp(config.weight_states);
-        for (const auto& it : items) dp.add(it, config.threads);
-        score = dp.query(static_cast<std::size_t>(budget / quantum));
-      }
-      if (!best.valid || score > best.score) {
-        best.valid = true;
-        best.score = score;
-        best.shared_size = shared_size;
-        best_member_set = std::move(members);
-      }
-    }
+    solve_leaves(library, candidates, decomposition,
+                 WeightDp(config.weight_states, quantum, config.threads), capacity,
+                 result);
   }
-
-  result.combinations_visited = visited;
-  if (!best.valid || best.score <= 0.0) return result;
-
-  // Reconstruct the winning leaf's knapsack with traceback.
-  std::vector<Candidate> items;
-  items.reserve(best_member_set.size());
-  for (const std::size_t c : best_member_set) items.push_back(candidates[c]);
-  const Bytes budget = capacity - best.shared_size;
-  const KnapsackPick pick =
-      joint ? knapsack_joint(items, static_cast<std::size_t>(budget / quantum),
-                             config.compute_states)
-            : config.mode == DpMode::kProfitRounding
-                  ? knapsack_profit(items, budget)
-                  : knapsack_weight(items, static_cast<std::size_t>(budget / quantum));
-  result.value = pick.utility_sum;
-  result.models.reserve(pick.chosen.size());
-  for (const std::size_t e : pick.chosen) result.models.push_back(items[e].id);
-  std::sort(result.models.begin(), result.models.end());
   return result;
 }
 

@@ -19,7 +19,8 @@
 // traversal cost is exponential in the number of sharing groups, which is
 // the paper's special-case-vs-general-case distinction (Theorem 1 vs §VI).
 //
-// Inner knapsack modes:
+// Inner knapsack modes, one DP type each, driven by a single template for
+// both traversals and the reconstruction:
 //  * kProfitRounding — the paper's Algorithm 2: profits are rounded to
 //    integers u̇ = floor(u / (ε·u_min)) and the DP is indexed by profit with
 //    min-weight values (Eq. 16). ε-optimal per Proposition 4.
@@ -27,15 +28,18 @@
 //    `weight_states` buckets (sizes rounded up, so results are always
 //    feasible); profits stay exact doubles. Near-exact alternative used to
 //    ablate the rounding loss.
+// Each DP's recurrence is written once. The winning leaf's picks are
+// recovered by replaying its members through a fresh DP of the same type and
+// tracing back through the states each member changed.
 //
 // Joint caching + compute (the second knapsack dimension): when the caller
 // passes per-model compute loads and a finite compute budget, the inner
 // knapsack becomes a 2D weight-indexed DP over (storage, compute) states —
-// storage quantized to `weight_states` buckets as before, compute to
-// `compute_states` buckets with ceil rounding (so DP-feasible selections
-// never overshoot the optimistic loads). This joint mode applies regardless
-// of DpMode (a profit-indexed 2D variant would need weight-pair values and
-// buys nothing: the joint objective is re-scored canonically downstream).
+// storage quantized to `weight_states` buckets as before, compute to a fixed
+// 64 buckets with ceil rounding (so DP-feasible selections never overshoot
+// the optimistic loads). This joint mode applies regardless of DpMode (a
+// profit-indexed 2D variant would need weight-pair values and buys nothing:
+// the joint objective is re-scored canonically downstream).
 #pragma once
 
 #include <cstddef>
@@ -55,12 +59,9 @@ struct SpecSolverConfig {
   /// Profit-rounding precision ε ∈ (0, 1]; the paper's "ε = 0" (exact) maps
   /// to a fine rounding of 1e-5.
   double epsilon = 0.1;
-  /// Resolution of the weight-quantized mode.
+  /// Resolution of the weight-quantized mode and of the joint mode's storage
+  /// axis.
   std::size_t weight_states = 4096;
-  /// Resolution of the compute axis when a finite compute budget is given
-  /// (the joint 2D DP); ignored otherwise. Kept coarse by default: the DP
-  /// table is weight_states x compute_states per traversal level.
-  std::size_t compute_states = 64;
   /// Abort if the combination traversal would exceed this many leaves
   /// (general-case blow-up guard).
   std::size_t max_combinations = std::size_t{1} << 22;
@@ -81,8 +82,8 @@ struct ServerSubproblemResult {
   bool used_chain_path = false;     ///< chain-structured traversal applied
 };
 
-/// Solves P2.1_m. `utilities[i]` is u(m,i) ≥ 0 (un-normalized mass is fine);
-/// models with zero utility are never selected.
+/// Solves P2.1_m. `utilities[i]` is u(m,i), finite and ≥ 0 (un-normalized
+/// mass is fine); models with zero utility are never selected.
 ///
 /// Joint mode: when `compute_loads` is non-null (size I, per-model optimistic
 /// compute weight — Σ p·c over the model's still-uncovered hit entries) and

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "src/core/dp_rounding.h"
 #include "src/core/storage.h"
@@ -105,10 +107,43 @@ TEST_P(DpChainPath, UsesChainTraversalOnFreezeLibraries) {
   expect_feasible(lib, result, megabytes(200));
 }
 
-TEST_P(DpChainPath, ChainAndFallbackAgree) {
-  // The special-case library is chain-structured, so the generic fallback and
-  // the chain path must find the same optimum. We force the fallback by
-  // building a library whose closure equals the chain product.
+/// Runs all three DP modes on one instance and checks them against brute
+/// force: weight mode exact, profit mode within ε, and the joint mode with
+/// zero compute loads (a slack compute axis) exact. `chain_path` is the
+/// traversal every mode must have taken.
+void expect_modes_match_brute_force(const model::ModelLibrary& lib,
+                                    const std::vector<double>& utilities,
+                                    double capacity_mb, bool chain_path) {
+  const support::Bytes capacity = megabytes(capacity_mb);
+  const double optimum = testutil::brute_force_subproblem(lib, utilities, capacity);
+  ASSERT_GT(optimum, 0.0);
+
+  const auto weight = solve_server_subproblem(lib, utilities, capacity,
+                                              exact_weight_config(capacity_mb));
+  EXPECT_EQ(weight.used_chain_path, chain_path);
+  EXPECT_NEAR(weight.value, optimum, 1e-9);
+  expect_feasible(lib, weight, capacity);
+
+  SpecSolverConfig profit;
+  profit.mode = DpMode::kProfitRounding;
+  profit.epsilon = 0.1;
+  const auto rounded = solve_server_subproblem(lib, utilities, capacity, profit);
+  EXPECT_EQ(rounded.used_chain_path, chain_path);
+  EXPECT_GE(rounded.value, (1.0 - profit.epsilon) * optimum - 1e-9);
+  EXPECT_LE(rounded.value, optimum + 1e-9);
+  expect_feasible(lib, rounded, capacity);
+
+  const std::vector<double> no_load(lib.num_models(), 0.0);
+  const auto joint = solve_server_subproblem(
+      lib, utilities, capacity, exact_weight_config(capacity_mb), &no_load, 1.0);
+  EXPECT_EQ(joint.used_chain_path, chain_path);
+  EXPECT_NEAR(joint.value, optimum, 1e-9);
+  expect_feasible(lib, joint, capacity);
+}
+
+TEST_P(DpChainPath, EveryModeMatchesBruteForce) {
+  // Freeze libraries nest their shared parts, so every mode takes the chain
+  // traversal; the fallback is covered by DpFallbackPath below.
   Rng rng(GetParam() + 500);
   model::SpecialCaseConfig config;
   config.models_per_family = 4;
@@ -116,17 +151,93 @@ TEST_P(DpChainPath, ChainAndFallbackAgree) {
   const auto lib = model::build_special_case_library(config, rng);
   std::vector<double> utilities(lib.num_models());
   for (auto& u : utilities) u = rng.uniform(0.1, 1.0);
-
-  const double capacity_mb = 120.0;
-  const auto chain = solve_server_subproblem(lib, utilities, megabytes(capacity_mb),
-                                             exact_weight_config(capacity_mb));
-  ASSERT_TRUE(chain.used_chain_path);
-  const double brute =
-      testutil::brute_force_subproblem(lib, utilities, megabytes(capacity_mb));
-  EXPECT_NEAR(chain.value, brute, 1e-9);
+  expect_modes_match_brute_force(lib, utilities, 120.0, /*chain_path=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DpChainPath, ::testing::Range<std::uint64_t>(0, 8));
+
+// ------------------------------------------- closure fallback (general case)
+
+class DpFallbackPath : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DpFallbackPath, EveryModeMatchesBruteForce) {
+  // Shared parts {A}, {A,B}, {B,C}, {C}: one sharing group whose parts
+  // overlap without nesting, so no inclusion chain exists and every mode must
+  // enumerate the union-closure instead.
+  Rng rng(GetParam() + 700);
+  auto mb = [&rng] { return megabytes(static_cast<double>(rng.uniform_int(1, 8))); };
+  model::ModelLibrary lib;
+  const BlockId a = lib.add_block(mb(), "A");
+  const BlockId b = lib.add_block(mb(), "B");
+  const BlockId c = lib.add_block(mb(), "C");
+  const std::vector<std::vector<BlockId>> shared = {{a}, {a, b}, {b, c}, {c}, {a}, {}};
+  for (std::size_t i = 0; i < shared.size(); ++i) {
+    std::vector<BlockId> blocks = shared[i];
+    blocks.push_back(lib.add_block(mb(), "x" + std::to_string(i)));
+    lib.add_model("m" + std::to_string(i), "f", std::move(blocks));
+  }
+  lib.finalize();
+  const auto utilities = random_utilities(lib, rng, 0.0);
+  expect_modes_match_brute_force(lib, utilities, 20.0, /*chain_path=*/false);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DpFallbackPath, ::testing::Range<std::uint64_t>(0, 8));
+
+// ------------------------------------------------ joint (storage x compute)
+
+TEST(DpJoint, SlackComputeBudgetEqualsWeightModeBitForBit) {
+  // When every subset fits the compute axis, the joint DP's last compute
+  // column runs the weight DP's max/add sequence, so picks and value match
+  // kWeightQuantized exactly — the equivalence a 1-D fast path relies on.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed + 3000);
+    const auto lib = testutil::random_library(rng, 10, 12);
+    const auto utilities = random_utilities(lib, rng);
+    const support::Bytes capacity = megabytes(30);
+    SpecSolverConfig config;
+    config.mode = DpMode::kWeightQuantized;
+    config.weight_states = 512;
+    const auto weight = solve_server_subproblem(lib, utilities, capacity, config);
+    // Zero loads, and whole-unit loads summing to at most the 64 compute
+    // buckets of a budget of 64.
+    std::vector<double> small_loads(lib.num_models());
+    for (auto& load : small_loads) load = static_cast<double>(rng.uniform_int(0, 6));
+    ASSERT_LE(std::accumulate(small_loads.begin(), small_loads.end(), 0.0), 64.0);
+    for (const auto& loads : {std::vector<double>(lib.num_models(), 0.0), small_loads}) {
+      const auto joint =
+          solve_server_subproblem(lib, utilities, capacity, config, &loads, 64.0);
+      EXPECT_EQ(joint.models, weight.models) << "seed " << seed;
+      EXPECT_EQ(joint.value, weight.value) << "seed " << seed;
+      EXPECT_EQ(joint.combinations_visited, weight.combinations_visited);
+    }
+  }
+}
+
+TEST(DpJoint, BindingComputeBudgetIsRespected) {
+  bool bound = false;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed + 4000);
+    const auto lib = testutil::random_library(rng, 10, 12);
+    const auto utilities = random_utilities(lib, rng);
+    std::vector<double> loads(lib.num_models());
+    for (auto& load : loads) load = rng.uniform(0.01, 0.3);
+    const double budget = 0.4;  // above every lone load: no clamping
+    const support::Bytes capacity = megabytes(40);
+    const auto config = exact_weight_config(40);
+    const auto joint =
+        solve_server_subproblem(lib, utilities, capacity, config, &loads, budget);
+    double used = 0.0;
+    for (const ModelId i : joint.models) used += loads[i];
+    EXPECT_LE(used, budget) << "seed " << seed;
+    expect_feasible(lib, joint, capacity);
+    const auto storage_only = solve_server_subproblem(lib, utilities, capacity, config);
+    EXPECT_LE(joint.value, storage_only.value + 1e-12) << "seed " << seed;
+    double storage_only_load = 0.0;
+    for (const ModelId i : storage_only.models) storage_only_load += loads[i];
+    if (storage_only_load > budget) bound = true;
+  }
+  EXPECT_TRUE(bound) << "the compute budget never bound; the test checked nothing";
+}
 
 // ------------------------------------------------------------------ edge cases
 
@@ -171,11 +282,28 @@ TEST(DpRounding, InvalidInputsThrow) {
   bad.epsilon = 2.0;
   EXPECT_THROW((void)solve_server_subproblem(lib, ok, megabytes(10), bad),
                std::invalid_argument);
-  bad = SpecSolverConfig{};
-  bad.mode = DpMode::kWeightQuantized;
-  bad.weight_states = 0;
-  EXPECT_THROW((void)solve_server_subproblem(lib, ok, megabytes(10), bad),
-               std::invalid_argument);
+  bad.epsilon = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)solve_server_subproblem(lib, ok, megabytes(10), bad);
+    ADD_FAILURE() << "NaN epsilon was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("eps"), std::string::npos) << e.what();
+  }
+  // weight_states sets the storage quantum in every mode, profit included.
+  for (const DpMode mode : {DpMode::kWeightQuantized, DpMode::kProfitRounding}) {
+    bad = SpecSolverConfig{};
+    bad.mode = mode;
+    bad.weight_states = 0;
+    EXPECT_THROW((void)solve_server_subproblem(lib, ok, megabytes(10), bad),
+                 std::invalid_argument);
+  }
+  for (const double u : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    std::vector<double> non_finite(4, 1.0);
+    non_finite[2] = u;
+    EXPECT_THROW((void)solve_server_subproblem(lib, non_finite, megabytes(10)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(DpRounding, CombinationCapThrows) {

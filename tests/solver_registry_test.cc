@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/core/baselines.h"
 #include "src/core/exact_solver.h"
@@ -193,6 +195,26 @@ TEST(SolverRegistry, RepairRejectsNonFiniteOrNegativeTolerance) {
   }
   EXPECT_NO_THROW((void)SolverRegistry::instance().make("repair:tol=0"));
   EXPECT_NO_THROW((void)SolverRegistry::instance().make("gen+repair:tol=1e-9"));
+}
+
+// Spec's DP knobs are range-checked when the solver runs: a NaN eps would
+// otherwise cast floor(u / NaN) to an integer, and states=0 divides by zero
+// while deriving the storage quantum.
+TEST(SolverRegistry, SpecRejectsInvalidDpKnobs) {
+  const auto world = testutil::random_world(5, 2, 8, 10, 12, 30.0);
+  const auto problem = world.problem();
+  for (const auto& [spec, knob] :
+       {std::pair{"spec:eps=nan", "eps"}, std::pair{"spec:eps=1.5", "eps"},
+        std::pair{"spec:states=0", "states"},
+        std::pair{"spec:mode=weight,states=0", "states"}}) {
+    SolverContext context(1);
+    try {
+      (void)SolverRegistry::instance().make(spec)->run(problem, context);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(SolverRegistry, OptionsChangeBehavior) {
