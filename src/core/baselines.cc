@@ -14,8 +14,8 @@ BaselineResult top_popularity_caching(const PlacementProblem& problem) {
 
   std::vector<double> popularity(num_models, 0.0);
   for (UserId k = 0; k < problem.num_users(); ++k) {
-    for (ModelId i = 0; i < num_models; ++i) {
-      popularity[i] += problem.request_probability(k, i);
+    for (const auto& cell : problem.requests().requested(problem.request_user(k))) {
+      popularity[cell.model] += cell.probability;
     }
   }
   std::vector<ModelId> order(num_models);

@@ -45,22 +45,18 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
                                    const workload::RequestModel& requests)
     : PlacementProblem(topology, library, requests,
                        identity_servers(topology.num_servers()),
-                       identity_users(topology.num_users())) {
-  is_view_ = false;
-}
+                       identity_users(topology.num_users())) {}
 
 PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
                                    const model::ModelLibrary& library,
                                    const workload::RequestModel& requests,
                                    std::vector<ServerId> servers,
                                    std::vector<UserId> users)
-    : topology_(&topology),
-      library_(&library),
+    : library_(&library),
       requests_(&requests),
       num_servers_(servers.size()),
       num_users_(users.size()),
       num_models_(library.num_models()),
-      is_view_(true),
       server_ids_(std::move(servers)),
       user_ids_(std::move(users)) {
   if (!library.finalized()) {
@@ -72,17 +68,15 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
   }
   check_subset(server_ids_, topology.num_servers(), "server");
   check_subset(user_ids_, topology.num_users(), "user");
-  build_links();
+  build_links(topology);
   build_hit_lists();
 }
 
 PlacementProblem::PlacementProblem(OwnedProblemData data)
-    : topology_(nullptr),
-      requests_(nullptr),
+    : requests_(nullptr),
       num_servers_(data.server_ids.size()),
       num_users_(data.user_ids.size()),
       num_models_(data.library.num_models()),
-      is_view_(true),
       server_ids_(std::move(data.server_ids)),
       user_ids_(std::move(data.user_ids)) {
   if (!data.library.finalized()) {
@@ -139,49 +133,44 @@ PlacementProblem::PlacementProblem(OwnedProblemData data)
   for (ModelId i = 0; i < num_models_; ++i) {
     payload_bits_[i] = support::bits(library_->model_size(i));
   }
-  snapshot_compute_capacities();
+  snapshot_capacities(nullptr);
   build_hit_lists();
 }
 
-const wireless::NetworkTopology& PlacementProblem::topology() const {
-  if (!topology_) {
-    throw std::logic_error(
-        "PlacementProblem::topology: owning instance has no topology behind it");
-  }
-  return *topology_;
-}
-
-void PlacementProblem::snapshot_compute_capacities() {
-  compute_constrained_ = false;
+// Owning instances (null topology) read their data bundle.
+void PlacementProblem::snapshot_capacities(const wireless::NetworkTopology* topology) {
+  capacities_.resize(num_servers_);
   compute_caps_.assign(num_servers_, kInf);
   for (std::size_t m = 0; m < num_servers_; ++m) {
-    const double cap = owned_ ? (owned_->compute_capacities.empty()
-                                     ? kInf
-                                     : owned_->compute_capacities.at(m))
-                              : topology_->compute_capacity(server_ids_[m]);
-    compute_caps_[m] = cap;
-    if (cap != kInf) compute_constrained_ = true;
+    if (topology) {
+      capacities_[m] = topology->capacity(server_ids_[m]);
+      compute_caps_[m] = topology->compute_capacity(server_ids_[m]);
+    } else {
+      capacities_[m] = owned_->capacities[m];
+      if (!owned_->compute_capacities.empty()) compute_caps_[m] = owned_->compute_capacities[m];
+    }
+    if (compute_caps_[m] != kInf) compute_constrained_ = true;
   }
 }
 
-void PlacementProblem::build_links() {
-  backhaul_bps_ = topology_->radio().backhaul_bps;
-  snapshot_compute_capacities();
+void PlacementProblem::build_links(const wireless::NetworkTopology& topology) {
+  backhaul_bps_ = topology.radio().backhaul_bps;
+  snapshot_capacities(&topology);
   payload_bits_.resize(num_models_);
   for (ModelId i = 0; i < num_models_; ++i) {
     payload_bits_[i] = support::bits(library_->model_size(i));
   }
 
   // Global -> local server translation for the association pass.
-  std::vector<std::uint32_t> local_server(topology_->num_servers(), kInvalidId);
+  std::vector<std::uint32_t> local_server(topology.num_servers(), kInvalidId);
   for (std::size_t m = 0; m < num_servers_; ++m) local_server[server_ids_[m]] = m;
 
   // Per-(m, k) inverse effective rates from the topology's flat CSR link
   // views: one pass over each user's covering span fills the direct links
   // and the best-relay fallback for everything else.
-  const auto& offsets = topology_->covering_offsets();
-  const auto& flat = topology_->covering_flat();
-  const auto& avg_rate = topology_->link_avg_rate_bps();
+  const auto& offsets = topology.covering_offsets();
+  const auto& flat = topology.covering_flat();
+  const auto& avg_rate = topology.link_avg_rate_bps();
   inv_eff_.assign(num_servers_ * num_users_, kInf);
   assoc_.assign(num_servers_ * num_users_, 0);
   for (std::size_t k = 0; k < num_users_; ++k) {
@@ -250,12 +239,12 @@ void PlacementProblem::build_hit_lists() {
   for (std::size_t k = 0; k < num_users_; ++k) {
     const UserId rk = request_user(static_cast<UserId>(k));
     rows.clear();
-    for (const ModelId i : requests_->requested_models(rk)) {
-      const double p = requests_->probability(rk, i);
-      total_mass_ += p;
+    for (const workload::RequestCell& cell : requests_->requested(rk)) {
+      const ModelId i = cell.model;
+      total_mass_ += cell.probability;
       const double budget = requests_->deadline_s(rk, i) - requests_->inference_s(rk, i);
       if (budget <= 0) continue;
-      rows.push_back(Row{i, p, payload_bits_[i], budget});
+      rows.push_back(Row{i, cell.probability, payload_bits_[i], budget});
     }
     row_reachable.assign(rows.size(), 0);
     // User k's relay rate, shared by all its non-associated cells; stays

@@ -37,8 +37,9 @@
 // With factored lists a view costs little beyond its M × K link arrays, so
 // the distributed-tile coordinator serializes ordinary sub-views.
 //
-// The problem borrows (does not own) topology / library / requests; keep
-// them alive for the problem's lifetime (sim::Scenario does).
+// The problem borrows (does not own) library / requests; keep them alive
+// for the problem's lifetime (sim::Scenario does). The topology is read
+// only during construction.
 //
 // Owning instances (the distributed tile path, io/tile_codec.h): the third
 // constructor rebuilds a problem from a self-contained OwnedProblemData
@@ -194,10 +195,6 @@ class PlacementProblem {
   [[nodiscard]] std::size_t num_users() const noexcept { return num_users_; }
   [[nodiscard]] std::size_t num_models() const noexcept { return num_models_; }
 
-  /// True when this instance is a server/user sub-view.
-  [[nodiscard]] bool is_view() const noexcept { return is_view_; }
-  /// True when this instance owns its data (deserialized tile, no topology).
-  [[nodiscard]] bool owns_data() const noexcept { return owned_ != nullptr; }
   /// Global topology id of view-local server m (identity on full instances).
   [[nodiscard]] ServerId global_server(ServerId m) const { return server_ids_.at(m); }
   /// Global topology id of view-local user k (identity on full instances).
@@ -211,9 +208,6 @@ class PlacementProblem {
     return owned_ ? k : global_user(k);
   }
 
-  /// The backing topology. Throws std::logic_error on owning instances —
-  /// a deserialized tile has no topology behind it.
-  [[nodiscard]] const wireless::NetworkTopology& topology() const;
   [[nodiscard]] const model::ModelLibrary& library() const noexcept { return *library_; }
   /// The request model. NOTE: index it with request_user(), not raw local
   /// ids — borrowed instances share the *global* model.
@@ -221,13 +215,11 @@ class PlacementProblem {
     return *requests_;
   }
 
-  [[nodiscard]] support::Bytes capacity(ServerId m) const {
-    return owned_ ? owned_->capacities.at(m) : topology_->capacity(global_server(m));
-  }
+  /// Storage capacity of view-local server m.
+  [[nodiscard]] support::Bytes capacity(ServerId m) const { return capacities_.at(m); }
 
   /// Per-server inference compute capacity C_m (abstract units); +inf for
-  /// the classic storage-only problem. Snapshotted per view-local server at
-  /// construction so hot loops avoid the topology indirection.
+  /// the classic storage-only problem.
   [[nodiscard]] double compute_capacity(ServerId m) const {
     return compute_caps_.at(m);
   }
@@ -243,11 +235,6 @@ class PlacementProblem {
   /// holder's budget is p_{k,i} · c_{k,i}.
   [[nodiscard]] double compute_cost(UserId k, ModelId i) const {
     return requests_->compute_cost(request_user(k), i);
-  }
-
-  /// p_{k,i} for view-local user k.
-  [[nodiscard]] double request_probability(UserId k, ModelId i) const {
-    return requests_->probability(request_user(k), i);
   }
 
   /// I1(m,k,i): can server m serve user k's request for model i in time?
@@ -287,11 +274,10 @@ class PlacementProblem {
   [[nodiscard]] double reachable_mass() const noexcept { return reachable_mass_; }
 
  private:
-  void build_links();
+  void build_links(const wireless::NetworkTopology& topology);
   void build_hit_lists();
-  void snapshot_compute_capacities();
+  void snapshot_capacities(const wireless::NetworkTopology* topology);
 
-  const wireless::NetworkTopology* topology_;  // null on owning instances
   const model::ModelLibrary* library_;
   const workload::RequestModel* requests_;
   // Owning instances keep their data bundle alive here (library_ / requests_
@@ -302,7 +288,6 @@ class PlacementProblem {
   std::size_t num_servers_;
   std::size_t num_users_;
   std::size_t num_models_;
-  bool is_view_ = false;
   std::vector<ServerId> server_ids_;  // local -> global
   std::vector<UserId> user_ids_;      // local -> global
 
@@ -317,7 +302,9 @@ class PlacementProblem {
   std::vector<char> assoc_;
   std::vector<double> payload_bits_;  // per model
   double backhaul_bps_ = 0.0;
-  std::vector<double> compute_caps_;  // per local server; +inf = unconstrained
+  // Per local server, snapshotted at construction.
+  std::vector<support::Bytes> capacities_;
+  std::vector<double> compute_caps_;  // +inf = unconstrained
   bool compute_constrained_ = false;
 
   // Factored hit lists, each a start offset into one flat entry array:

@@ -46,12 +46,12 @@ std::vector<UncoveredPair> uncovered_demand(const PlacementProblem& problem,
   const workload::RequestModel& requests = problem.requests();
   for (UserId k = 0; k < problem.num_users(); ++k) {
     const UserId rk = problem.request_user(k);
-    for (const ModelId i : requests.requested_models(rk)) {
+    for (const workload::RequestCell& cell : requests.requested(rk)) {
+      const ModelId i = cell.model;
       if (coverage.covered(k, i)) continue;
       const double budget = requests.deadline_s(rk, i) - requests.inference_s(rk, i);
       if (budget <= 0) continue;  // mirrors the hit-list construction
-      pairs.push_back(UncoveredPair{k, i, requests.probability(rk, i),
-                                    problem.payload_bits(i), budget});
+      pairs.push_back(UncoveredPair{k, i, cell.probability, problem.payload_bits(i), budget});
     }
   }
   return pairs;

@@ -12,10 +12,11 @@ namespace {
 constexpr std::uint32_t kViewMagic = 0x56544354;    // "TCTV" little-endian
 constexpr std::uint32_t kResultMagic = 0x52544354;  // "TCTR" little-endian
 // Tile views: v1 is the storage-only format; v2 appends one optional
-// compute section (flag + per-server compute capacities + per-request-cell
-// inference costs). The writer emits v1 bytes — bit-identical to the
-// pre-compute codec — whenever the problem is compute-unconstrained, and
-// readers accept {1, 2}. Tile results are still v1.
+// compute section (flag + per-server compute capacities + the one inference
+// cost scale every cell's cost derives from). The writer emits v1 bytes —
+// bit-identical to the pre-compute codec — whenever the problem is
+// compute-unconstrained, and readers accept {1, 2}. Tile results are still
+// v1.
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kViewVersionJoint = 2;
 
@@ -241,13 +242,13 @@ std::string serialize_tile_view(const TileViewHeader& header,
   const workload::RequestModel& requests = problem.requests();
   for (UserId k = 0; k < K; ++k) {
     const UserId rk = problem.request_user(k);
-    const auto models = requests.requested_models(rk);
-    put_u32(out, static_cast<std::uint32_t>(models.size()));
-    for (const ModelId i : models) {
-      put_u32(out, i);
-      put_f64(out, requests.probability(rk, i));
-      put_f64(out, requests.deadline_s(rk, i));
-      put_f64(out, requests.inference_s(rk, i));
+    const auto cells = requests.requested(rk);
+    put_u32(out, static_cast<std::uint32_t>(cells.size()));
+    for (const workload::RequestCell& cell : cells) {
+      put_u32(out, cell.model);
+      put_f64(out, cell.probability);
+      put_f64(out, requests.deadline_s(rk, cell.model));
+      put_f64(out, requests.inference_s(rk, cell.model));
     }
   }
 
@@ -260,16 +261,11 @@ std::string serialize_tile_view(const TileViewHeader& header,
 
   if (joint) {
     // Optional compute section (v2): presence flag, per-server compute
-    // capacities, then one inference cost per request cell in exactly the
-    // row order the cells were written above.
+    // capacities, then the cost scale (compute units per second of
+    // inference latency) every request cell's cost derives from.
     put_u32(out, 1);
     for (ServerId m = 0; m < M; ++m) put_f64(out, problem.compute_capacity(m));
-    for (UserId k = 0; k < K; ++k) {
-      const UserId rk = problem.request_user(k);
-      for (const ModelId i : requests.requested_models(rk)) {
-        put_f64(out, requests.compute_cost(rk, i));
-      }
-    }
+    put_f64(out, requests.cost_scale());
   }
 
   seal(out);
@@ -352,6 +348,7 @@ TileView parse_tile_view(const std::string& bytes) {
     data.assoc[c] = static_cast<char>(reader.u8("assoc cell") != 0);
   }
 
+  double cost_scale = 0.0;
   if (version >= kViewVersionJoint) {
     // Optional compute section: flag-gated, so an unconstrained v2 file
     // carries no capacities/costs and parses identically to v1.
@@ -368,15 +365,11 @@ TileView parse_tile_view(const std::string& bytes) {
           reader.fail("compute capacity must be >= 0");
         }
       }
-      for (std::uint32_t k = 0; k < K; ++k) {
-        for (workload::RequestEntry& cell : rows[k]) {
-          cell.cost = reader.f64("request compute cost");
-        }
-      }
+      cost_scale = reader.f64("compute cost scale");  // from_rows validates it
     }
   }
   try {
-    data.requests = workload::RequestModel::from_rows(I, rows);
+    data.requests = workload::RequestModel::from_rows(I, rows, cost_scale);
   } catch (const std::exception& e) {
     reader.fail(std::string("invalid request rows: ") + e.what());
   }

@@ -16,7 +16,9 @@
 //   * the precomputed per-(m, k) link arrays (inverse effective rates as raw
 //     IEEE-754 bits, association flags) — the exact values the coordinator's
 //     borrowed sub-view derived from the global topology, so relays through
-//     out-of-tile servers stay priced in.
+//     out-of-tile servers stay priced in;
+//   * for a compute-constrained problem only (format v2), per-server compute
+//     capacities and the one inference cost scale.
 //
 // A tile result file ("TCTR" magic) carries the tile-local PlacementSolution
 // (per-server model lists in placement order — stitch order matters) plus the

@@ -558,9 +558,9 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
     cdfs.resize(num_users);
     for (UserId k = 0; k < num_users; ++k) {
       double acc = 0.0;
-      for (const ModelId i : requests.requested_models(k)) {
-        acc += requests.probability(k, i);
-        cdfs[k].entries.emplace_back(acc, i);
+      for (const workload::RequestCell& cell : requests.requested(k)) {
+        acc += cell.probability;
+        cdfs[k].entries.emplace_back(acc, cell.model);
       }
     }
   }

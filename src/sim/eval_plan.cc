@@ -88,12 +88,11 @@ EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
     payload_bits[i] = support::bits(library.model_size(i));
   }
   for (UserId k = 0; k < num_users_; ++k) {
-    for (ModelId i = 0; i < num_models_; ++i) {
-      const double p = requests.probability(k, i);
-      if (p <= 0.0) continue;
+    for (const workload::RequestCell& cell : requests.requested(k)) {
+      const ModelId i = cell.model;
       const double budget = requests.deadline_s(k, i) - requests.inference_s(k, i);
       if (budget <= 0.0) continue;
-      rows_.push_back(Row{i, p, payload_bits[i], budget});
+      rows_.push_back(Row{i, cell.probability, payload_bits[i], budget});
     }
     row_offsets_[k + 1] = rows_.size();
   }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace trimcaching::workload {
 
@@ -15,17 +17,26 @@ constexpr std::uint64_t kSwapStream = 0x5afeD21f;
 }  // namespace
 
 void DriftingZipfConfig::validate() const {
-  if (exponent_start < 0 || exponent_end < 0) {
-    throw std::invalid_argument("DriftingZipfConfig: negative Zipf exponent");
+  // NaN fails every comparison, so each test is written to reject it.
+  for (const auto& [name, exponent] :
+       {std::pair{"exponent_start", exponent_start}, std::pair{"exponent_end", exponent_end}}) {
+    if (!(exponent >= 0) || std::isinf(exponent)) {
+      throw std::invalid_argument(std::string("DriftingZipfConfig: ") + name +
+                                  " must be finite and >= 0");
+    }
   }
-  if (epoch_s <= 0) throw std::invalid_argument("DriftingZipfConfig: epoch_s must be > 0");
+  if (!(epoch_s > 0) || std::isinf(epoch_s)) {
+    throw std::invalid_argument("DriftingZipfConfig: epoch_s must be finite and > 0");
+  }
 }
 
 DriftingZipf::DriftingZipf(std::vector<ModelId> base_order, double duration_s,
                            const DriftingZipfConfig& config, const support::Rng& seed)
     : config_(config) {
   config.validate();
-  if (duration_s <= 0) throw std::invalid_argument("DriftingZipf: duration must be > 0");
+  if (!(duration_s > 0) || std::isinf(duration_s)) {
+    throw std::invalid_argument("DriftingZipf: duration must be finite and > 0");
+  }
   const std::size_t n = base_order.size();
   if (n == 0) throw std::invalid_argument("DriftingZipf: empty base order");
   {

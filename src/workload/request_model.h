@@ -8,6 +8,11 @@
 // may rank models in its own random order (personalized popularity), and may
 // restrict its interest to a subset of models (Fig. 6 uses 9 / 27 requested
 // models per user).
+//
+// p_{k,i} is stored once, as one run of RequestCell per user over the p > 0
+// support (requested(k)); compute cost is derived, cost_scale() * t_{k,i}.
+// Deadlines and inference latencies stay dense K x I: a drifting serving
+// workload may draw models outside a user's requested run.
 #pragma once
 
 #include <cstddef>
@@ -40,13 +45,18 @@ struct RequestConfig {
   void validate() const;
 };
 
+/// One p > 0 cell of user k's request row.
+struct RequestCell {
+  ModelId model = 0;
+  double probability = 0.0;
+};
+
 /// One sparse request-table cell for RequestModel::from_rows.
 struct RequestEntry {
   ModelId model = 0;
   double probability = 0.0;
   double deadline_s = 0.0;
   double inference_s = 0.0;
-  double cost = 0.0;  ///< compute cost of one inference (abstract units)
 };
 
 class RequestModel {
@@ -65,44 +75,44 @@ class RequestModel {
   /// tile path, io/tile_codec.h). Row k lists user k's requested models in
   /// strictly ascending id order; cells absent from a row have p = 0 and
   /// zero deadlines. The p > 0 support and per-user iteration order match
-  /// generate()'s dense-scan semantics exactly, so a problem built on top
-  /// reproduces hit lists and request mass bit for bit.
+  /// generate()'s exactly, so a problem built on top reproduces hit lists
+  /// and request mass bit for bit. `cost_scale` is infer_cost_scale.
   static RequestModel from_rows(std::size_t num_models,
-                                const std::vector<std::vector<RequestEntry>>& rows);
+                                const std::vector<std::vector<RequestEntry>>& rows,
+                                double cost_scale);
 
   [[nodiscard]] std::size_t num_users() const noexcept { return num_users_; }
   [[nodiscard]] std::size_t num_models() const noexcept { return num_models_; }
 
-  /// Request probability p_{k,i}; each user's probabilities sum to 1.
+  /// Request probability p_{k,i}; each user's probabilities sum to 1. A
+  /// search of row k: hot loops walk requested(k) instead.
   [[nodiscard]] double probability(UserId k, ModelId i) const;
   /// E2E deadline T̄_{k,i} in seconds.
   [[nodiscard]] double deadline_s(UserId k, ModelId i) const;
   /// On-device inference latency t_{k,i} in seconds.
   [[nodiscard]] double inference_s(UserId k, ModelId i) const;
-  /// Compute cost of one inference of model i for user k (abstract units;
-  /// infer_cost_scale * t_{k,i} for generate()d models).
+  /// Compute cost of one inference of model i for user k (abstract units):
+  /// cost_scale() * t_{k,i}.
   [[nodiscard]] double compute_cost(UserId k, ModelId i) const;
+  /// Compute units per second of inference latency (infer_cost_scale).
+  [[nodiscard]] double cost_scale() const noexcept { return cost_scale_; }
 
   /// Σ_k Σ_i p_{k,i} (the denominator of Eq. 2).
   [[nodiscard]] double total_mass() const noexcept { return total_mass_; }
 
-  /// Models user k requests with p_{k,i} > 0, ascending ids. The sparse
-  /// companion of probability(): with `models_per_user` interest limits the
-  /// span is much shorter than I, so consumers (PlacementProblem hit-list
-  /// construction) avoid the dense K x I scan at 10^3-model libraries.
-  [[nodiscard]] std::span<const ModelId> requested_models(UserId k) const;
+  /// User k's p > 0 cells, ascending model ids. With `models_per_user`
+  /// interest limits the run is much shorter than I.
+  [[nodiscard]] std::span<const RequestCell> requested(UserId k) const;
 
  private:
   std::size_t num_users_ = 0;
   std::size_t num_models_ = 0;
-  std::vector<double> probability_;  // dense K x I
-  std::vector<double> deadline_;     // dense K x I
-  std::vector<double> inference_;    // dense K x I
-  std::vector<double> cost_;         // dense K x I, compute units per inference
-  // CSR of the p > 0 support: user k owns
-  // requested_flat_[requested_offsets_[k], requested_offsets_[k+1]).
-  std::vector<std::size_t> requested_offsets_;
-  std::vector<ModelId> requested_flat_;
+  std::vector<double> deadline_;   // dense K x I
+  std::vector<double> inference_;  // dense K x I
+  double cost_scale_ = 0.0;
+  // CSR of the p > 0 support: user k owns cells_[offsets_[k], offsets_[k+1]).
+  std::vector<std::size_t> offsets_;
+  std::vector<RequestCell> cells_;
   double total_mass_ = 0.0;
 
   [[nodiscard]] std::size_t at(UserId k, ModelId i) const;

@@ -59,7 +59,8 @@ std::size_t expect_matches_reference(const PlacementProblem& problem,
   double reachable = 0.0;
   for (UserId k = 0; k < K; ++k) {
     const UserId rk = problem.request_user(k);
-    for (const ModelId i : problem.requests().requested_models(rk)) {
+    for (const workload::RequestCell& cell : problem.requests().requested(rk)) {
+      const ModelId i = cell.model;
       requested[k * I + i] = 1;
       const double p = problem.requests().probability(rk, i);
       total += p;
@@ -77,7 +78,8 @@ std::size_t expect_matches_reference(const PlacementProblem& problem,
       Entries reference;
       for (UserId k = 0; k < K; ++k) {
         if (requested[k * I + i] && problem.eligible(m, k, i)) {
-          reference.emplace_back(k, problem.request_probability(k, i));
+          reference.emplace_back(k,
+                                 problem.requests().probability(problem.request_user(k), i));
         }
       }
       const HitRange range = problem.hit_list(m, i);
@@ -130,7 +132,8 @@ TEST(HitList, RelayEntriesVanishForAUserCoveredByEveryViewServer) {
         if (full.associations(m)[k]) covering.push_back(m);
       }
       if (covering.size() < 2 || covering.size() == full.num_servers()) continue;
-      for (const ModelId i : full.requests().requested_models(k)) {
+      for (const workload::RequestCell& cell : full.requests().requested(k)) {
+        const ModelId i = cell.model;
         bool relay = false;
         std::size_t weak = covering.size();  // position in `covering`
         for (ServerId m = 0; m < full.num_servers(); ++m) {

@@ -375,6 +375,38 @@ TEST(ServeConfigValidation, RejectsNonFiniteOrNonPositiveKnobsNamingThem) {
   EXPECT_NO_THROW(serve::ServeConfig{}.validate());
 }
 
+TEST(DriftingZipfValidation, InfiniteEpochRejectedNamingIt) {
+  // An infinite epoch used to give zero epochs, and sample() then read past
+  // an empty per-epoch table.
+  workload::DriftingZipfConfig config;
+  config.epoch_s = std::numeric_limits<double>::infinity();
+  expect_rejects_naming([&] { config.validate(); }, "epoch_s");
+  expect_rejects_naming(
+      [&] { (void)workload::DriftingZipf({0, 1, 2}, 100.0, config, Rng(1)); }, "epoch_s");
+}
+
+TEST(DriftingZipfValidation, NanEpochRejectedNamingIt) {
+  // A NaN epoch reached an undefined float-to-size_t cast of the epoch count.
+  workload::DriftingZipfConfig config;
+  config.epoch_s = std::nan("");
+  expect_rejects_naming([&] { config.validate(); }, "epoch_s");
+  expect_rejects_naming(
+      [&] { (void)workload::DriftingZipf({0, 1, 2}, 100.0, config, Rng(1)); }, "epoch_s");
+}
+
+TEST(DriftingZipfValidation, NonFiniteExponentsRejectedNamingThem) {
+  // A NaN exponent gave NaN pmfs.
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(), -0.1}) {
+    workload::DriftingZipfConfig config;
+    config.exponent_start = bad;
+    expect_rejects_naming([&] { config.validate(); }, "exponent_start");
+    config = workload::DriftingZipfConfig{};
+    config.exponent_end = bad;
+    expect_rejects_naming([&] { config.validate(); }, "exponent_end");
+  }
+  EXPECT_NO_THROW(workload::DriftingZipfConfig{}.validate());
+}
+
 TEST(CachePolicyFactory, EwmaRejectsNonFiniteTauNamingIt) {
   // A NaN tau would put NaN scores into the eviction order.
   for (const char* spec : {"ewma:tau_s=nan", "ewma:tau_s=inf", "ewma:tau_s=-inf",

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "src/core/trimcaching_gen.h"
 #include "src/sim/evaluator.h"
 #include "src/sim/experiment.h"
@@ -66,6 +71,35 @@ TEST(Scenario, ValidationErrors) {
   config = small_config();
   config.capacity_bytes = 0;
   EXPECT_THROW((void)build_scenario(config, rng), std::invalid_argument);
+}
+
+TEST(Scenario, NonFiniteKnobsRejectedNamingThem) {
+  // NaN fails every comparison; each knob must still be rejected up front.
+  const auto expect_rejects = [](const ScenarioConfig& config, const std::string& field) {
+    Rng rng(5);
+    try {
+      (void)build_scenario(config, rng);
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  const double nan = std::nan("");
+  ScenarioConfig config = small_config();
+  config.requests.zipf_exponent = nan;
+  expect_rejects(config, "zipf_exponent");
+  config = small_config();
+  config.requests.zipf_exponent = std::numeric_limits<double>::infinity();
+  expect_rejects(config, "zipf_exponent");
+  config = small_config();
+  config.compute_capacity = nan;
+  expect_rejects(config, "compute_capacity");
+  config = small_config();
+  config.requests.deadline_max_s = nan;
+  expect_rejects(config, "deadline");
+  config = small_config();
+  config.requests.inference_min_s = nan;
+  expect_rejects(config, "inference");
 }
 
 TEST(Scenario, DeterministicForSameSeed) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -101,16 +102,6 @@ void set_f64_at(std::string& bytes, std::size_t at, double v) {
   }
 }
 
-/// Total request cells the view serializes (one inference cost per cell in
-/// the v2 compute section) — used to locate section offsets from the tail.
-std::size_t request_cells(const core::PlacementProblem& problem) {
-  std::size_t cells = 0;
-  for (UserId k = 0; k < problem.num_users(); ++k) {
-    cells += problem.requests().requested_models(problem.request_user(k)).size();
-  }
-  return cells;
-}
-
 TileViewHeader sample_header() {
   TileViewHeader header;
   header.algo = "gen:lazy=1";
@@ -137,10 +128,6 @@ TEST(TileCodec, ViewRoundTripReproducesTheSubViewBitwise) {
   EXPECT_DOUBLE_EQ(parsed.header.time_budget_s, 2.5);
 
   const core::PlacementProblem owned(std::move(parsed.data));
-  EXPECT_TRUE(owned.owns_data());
-  EXPECT_TRUE(owned.is_view());
-  EXPECT_THROW((void)owned.topology(), std::logic_error);
-
   ASSERT_EQ(owned.num_servers(), view.num_servers());
   ASSERT_EQ(owned.num_users(), view.num_users());
   ASSERT_EQ(owned.num_models(), view.num_models());
@@ -163,7 +150,8 @@ TEST(TileCodec, ViewRoundTripReproducesTheSubViewBitwise) {
       EXPECT_EQ(owned.global_user(k), view.global_user(k));
       EXPECT_EQ(owned_inv[k], view_inv[k]) << "m=" << m << " k=" << k;
       EXPECT_EQ(owned_assoc[k], view_assoc[k]) << "m=" << m << " k=" << k;
-      EXPECT_EQ(owned.request_probability(k, 0), view.request_probability(k, 0));
+      EXPECT_EQ(owned.requests().probability(owned.request_user(k), 0),
+                view.requests().probability(view.request_user(k), 0));
     }
     for (ModelId i = 0; i < view.num_models(); ++i) {
       std::vector<core::HitEntry> owned_hits;
@@ -294,13 +282,14 @@ TEST(TileCodec, ConstrainedViewRoundTripsTheComputeSectionBitwise) {
   for (ServerId m = 0; m < view.num_servers(); ++m) {
     EXPECT_EQ(owned.compute_capacity(m), view.compute_capacity(m)) << "m=" << m;
   }
+  // The codec ships one cost scale; every serialized request cell (the
+  // p > 0 support) derives its cost from it and must match exactly.
+  EXPECT_EQ(owned.requests().cost_scale(), view.requests().cost_scale());
   for (UserId k = 0; k < view.num_users(); ++k) {
-    // The codec ships one cost per serialized request cell (the p > 0
-    // support) — compare exactly those.
-    const auto models = view.requests().requested_models(view.request_user(k));
-    for (const ModelId i : models) {
-      EXPECT_EQ(owned.compute_cost(k, i), view.compute_cost(k, i))
-          << "k=" << k << " i=" << i;
+    for (const workload::RequestCell& cell :
+         view.requests().requested(view.request_user(k))) {
+      EXPECT_EQ(owned.compute_cost(k, cell.model), view.compute_cost(k, cell.model))
+          << "k=" << k << " i=" << cell.model;
     }
   }
   // Solvers take the joint path on both sides and must agree bit for bit.
@@ -376,11 +365,14 @@ TEST(TileCodec, ComputeSectionValidationRejectsBadValues) {
                                     scenario.requests, servers, users);
   const std::string bytes = serialize_tile_view(sample_header(), view);
   ASSERT_EQ(version_of(bytes), 2u);
-  // Section layout from the tail: checksum(8) <- costs(cells*8) <- caps(M*8)
+  // Section layout from the tail: checksum(8) <- cost scale(8) <- caps(M*8)
   // <- flag(4).
-  const std::size_t cells = request_cells(view);
-  const std::size_t caps_at = bytes.size() - 8 - cells * 8 - view.num_servers() * 8;
+  const std::size_t scale_at = bytes.size() - 16;
+  const std::size_t caps_at = scale_at - view.num_servers() * 8;
   const std::size_t flag_at = caps_at - 4;
+  std::string reserialized = bytes;
+  set_f64_at(reserialized, scale_at, view.requests().cost_scale());
+  EXPECT_EQ(reserialized, bytes);
 
   std::string bad_flag = bytes;
   set_u32_at(bad_flag, flag_at, 2);
@@ -395,6 +387,22 @@ TEST(TileCodec, ComputeSectionValidationRejectsBadValues) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("compute capacity"), std::string::npos)
         << e.what();
+  }
+
+  // The cost scale is read last; a NaN, negative or infinite one fails the
+  // parse naming the byte offset just past it.
+  const std::string at_scale_end = "at byte " + std::to_string(scale_at + 8);
+  for (const double scale : {std::nan(""), -1.0, std::numeric_limits<double>::infinity()}) {
+    std::string bad_scale = bytes;
+    set_f64_at(bad_scale, scale_at, scale);
+    try {
+      (void)parse_tile_view(reseal(std::move(bad_scale)));
+      FAIL() << "cost scale " << scale << " must throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("cost scale"), std::string::npos) << what;
+      EXPECT_NE(what.find(at_scale_end), std::string::npos) << what;
+    }
   }
 
   // The hardening fuzz extends over the compute section: every truncated

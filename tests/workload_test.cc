@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/workload/request_model.h"
@@ -134,11 +137,119 @@ TEST(RequestModel, InvalidConfigRejected) {
                std::invalid_argument);
 }
 
+TEST(RequestModel, NonFiniteConfigRejectedNamingTheField) {
+  // NaN fails every comparison, so it must not slip past the range tests.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejects = [](const RequestConfig& config, const std::string& field) {
+    try {
+      config.validate();
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  for (const double bad : {nan, inf, -inf, -0.5}) {
+    RequestConfig config;
+    config.zipf_exponent = bad;
+    expect_rejects(config, "zipf_exponent");
+  }
+  for (const double bad : {nan, inf}) {
+    RequestConfig config;
+    config.deadline_min_s = bad;
+    expect_rejects(config, "deadline");
+    config = RequestConfig{};
+    config.deadline_max_s = bad;
+    expect_rejects(config, "deadline");
+    config = RequestConfig{};
+    config.inference_min_s = bad;
+    expect_rejects(config, "inference");
+    config = RequestConfig{};
+    config.inference_max_s = bad;
+    expect_rejects(config, "inference");
+  }
+  EXPECT_NO_THROW(RequestConfig{}.validate());
+}
+
 TEST(RequestModel, OutOfRangeAccessThrows) {
   Rng rng(7);
   const auto rm = RequestModel::generate(2, 3, RequestConfig{}, rng);
   EXPECT_THROW((void)rm.probability(2, 0), std::out_of_range);
   EXPECT_THROW((void)rm.probability(0, 3), std::out_of_range);
+  EXPECT_THROW((void)rm.requested(2), std::out_of_range);
+  EXPECT_THROW((void)rm.compute_cost(0, 3), std::out_of_range);
+}
+
+TEST(RequestModel, UnrequestedCellsHaveZeroProbability) {
+  Rng rng(8);
+  RequestConfig config;
+  config.models_per_user = 4;
+  const auto rm = RequestModel::generate(5, 12, config, rng);
+  for (UserId k = 0; k < 5; ++k) {
+    std::vector<char> requested(12, 0);
+    ASSERT_EQ(rm.requested(k).size(), 4u);
+    for (const RequestCell& cell : rm.requested(k)) {
+      requested[cell.model] = 1;
+      EXPECT_GT(cell.probability, 0.0);
+      EXPECT_EQ(rm.probability(k, cell.model), cell.probability);
+    }
+    for (ModelId i = 0; i < 12; ++i) {
+      if (!requested[i]) {
+        EXPECT_EQ(rm.probability(k, i), 0.0) << "k=" << k << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(RequestModel, ComputeCostIsScaleTimesInferenceBitwise) {
+  Rng rng(9);
+  RequestConfig config;
+  config.infer_cost_scale = 3.7;
+  const auto rm = RequestModel::generate(4, 10, config, rng);
+  EXPECT_EQ(rm.cost_scale(), 3.7);
+  for (UserId k = 0; k < 4; ++k) {
+    for (ModelId i = 0; i < 10; ++i) {
+      EXPECT_EQ(rm.compute_cost(k, i), config.infer_cost_scale * rm.inference_s(k, i));
+    }
+  }
+}
+
+TEST(RequestModel, FromRowsRebuildsAGeneratedModelBitwise) {
+  for (const std::size_t interest : {std::size_t{0}, std::size_t{6}}) {
+    Rng rng(10);
+    RequestConfig config;
+    config.models_per_user = interest;
+    config.infer_cost_scale = 0.3;
+    const auto rm = RequestModel::generate(7, 15, config, rng);
+    std::vector<std::vector<RequestEntry>> rows(rm.num_users());
+    for (UserId k = 0; k < rm.num_users(); ++k) {
+      for (const RequestCell& cell : rm.requested(k)) {
+        rows[k].push_back(RequestEntry{cell.model, cell.probability,
+                                       rm.deadline_s(k, cell.model),
+                                       rm.inference_s(k, cell.model)});
+      }
+    }
+    const auto rebuilt = RequestModel::from_rows(rm.num_models(), rows, rm.cost_scale());
+    EXPECT_EQ(rebuilt.total_mass(), rm.total_mass());
+    for (UserId k = 0; k < rm.num_users(); ++k) {
+      ASSERT_EQ(rebuilt.requested(k).size(), rm.requested(k).size());
+      for (const RequestCell& cell : rm.requested(k)) {
+        const ModelId i = cell.model;
+        EXPECT_EQ(rebuilt.probability(k, i), rm.probability(k, i));
+        EXPECT_EQ(rebuilt.deadline_s(k, i), rm.deadline_s(k, i));
+        EXPECT_EQ(rebuilt.inference_s(k, i), rm.inference_s(k, i));
+        EXPECT_EQ(rebuilt.compute_cost(k, i), rm.compute_cost(k, i));
+      }
+    }
+  }
+}
+
+TEST(RequestModel, FromRowsRejectsABadCostScale) {
+  const std::vector<std::vector<RequestEntry>> rows = {{RequestEntry{0, 1.0, 1.0, 0.1}}};
+  for (const double bad : {std::nan(""), -1.0, std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)RequestModel::from_rows(2, rows, bad), std::invalid_argument);
+  }
+  EXPECT_NO_THROW((void)RequestModel::from_rows(2, rows, 0.0));
 }
 
 }  // namespace

@@ -223,19 +223,33 @@ int main(int argc, char** argv) {
     config.num_servers = options.get_size("servers", 10);
     config.num_users = options.get_size("users", 20);
     config.area_side_m = options.get_double("area_m", 1000.0);
-    config.capacity_bytes = support::gigabytes(options.get_double("capacity_gb", 1.0));
+    // Float knobs are validated before any work; each test is written so
+    // that NaN fails it. capacity_gb must come to at least one byte and fit
+    // the byte count's uint64.
+    const double capacity_gb = options.get_double("capacity_gb", 1.0);
+    if (!(capacity_gb >= 1e-9) || !(capacity_gb < 1.8e10)) {
+      throw std::invalid_argument(
+          "capacity_gb: must be in [1e-9, 1.8e10) (per-server GB), got " +
+          std::to_string(capacity_gb));
+    }
+    config.capacity_bytes = support::gigabytes(capacity_gb);
     config.library_size = options.get_size("models", 0);
     config.requests.models_per_user = options.get_size("requested", 30);
     config.requests.zipf_exponent = options.get_double("zipf", 0.8);
+    if (!std::isfinite(config.requests.zipf_exponent) ||
+        config.requests.zipf_exponent < 0) {
+      throw std::invalid_argument("zipf: must be finite and >= 0, got " +
+                                  std::to_string(config.requests.zipf_exponent));
+    }
     const double compute = options.get_double("compute", 0.0);
-    if (compute < 0) {
+    if (!(compute >= 0)) {
       throw std::invalid_argument("compute: must be >= 0 (0 = unlimited), got " +
                                   std::to_string(compute));
     }
     if (compute > 0) config.compute_capacity = compute;
     const double infer_cost = options.get_double("infer_cost", 1.0);
-    if (infer_cost < 0) {
-      throw std::invalid_argument("infer_cost: must be >= 0, got " +
+    if (!std::isfinite(infer_cost) || infer_cost < 0) {
+      throw std::invalid_argument("infer_cost: must be finite and >= 0, got " +
                                   std::to_string(infer_cost));
     }
     config.requests.infer_cost_scale = infer_cost;
