@@ -9,6 +9,7 @@
 
 #include "src/support/bitset.h"
 #include "src/support/parallel.h"
+#include "src/support/simd.h"
 
 namespace trimcaching::core {
 
@@ -17,8 +18,6 @@ namespace {
 using model::ModelLibrary;
 using support::Bytes;
 using support::DynamicBitset;
-
-constexpr Bytes kInfWeight = std::numeric_limits<Bytes>::max();
 
 /// Resolution of the joint mode's compute axis: the DP table is
 /// (weight_states + 1) x (kComputeStates + 1) per traversal level.
@@ -40,6 +39,7 @@ struct Candidate {
 // Shared shape:
 //   table         flat DP states (states no add() reached hold kUnset)
 //   add(c)        fold one candidate in
+//   trim(b)       drop states no leaf with budget <= b can read
 //   score(b)      leaf score within shared-free budget b (comparable in-mode)
 //   start(b)      flat state the traceback starts from
 //   step(c)       flat offset a kept candidate moves the traceback by
@@ -51,23 +51,21 @@ struct Candidate {
 constexpr std::uint64_t kParallelFillStates = 1u << 16;
 
 /// Profit-indexed (the paper's Eq. 16): table[w] = min weight to reach
-/// rounded profit exactly w.
+/// rounded profit exactly w. kUnset is a finite sentinel above every
+/// reachable weight (solve_server_subproblem rejects candidate sets weighing
+/// kUnset or more), so the fill is a branch-free min: kUnset + size never
+/// undercuts a cell, and stays below 2^63 as simd.h's kernel requires.
 struct ProfitDp {
-  static constexpr Bytes kUnset = kInfWeight;
+  static constexpr Bytes kUnset = Bytes{1} << 62;
   std::vector<Bytes> table{0};  // table[0] = 0
   std::uint64_t reach = 0;
-  std::size_t max_states = 0;
   std::size_t threads = 1;
 
-  ProfitDp(std::size_t max_profit_states, std::size_t fill_threads)
-      : max_states(max_profit_states), threads(fill_threads) {}
+  explicit ProfitDp(std::size_t fill_threads) : threads(fill_threads) {}
 
   void add(const Candidate& it) {
     if (it.rounded == 0) return;
     reach += it.rounded;
-    if (reach + 1 > max_states) {
-      throw std::runtime_error("ProfitDp: profit state space exceeds configured limit");
-    }
     table.resize(reach + 1, kUnset);
     const std::uint64_t span = reach - it.rounded + 1;
     if (threads != 1 && span >= kParallelFillStates &&
@@ -82,26 +80,32 @@ struct ProfitDp {
         const std::uint64_t hi = it.rounded + span * (s + 1) / shards;
         for (std::uint64_t w = lo; w < hi; ++w) {
           const Bytes base = prev[w - it.rounded];
-          if (base != kInfWeight) {
+          if (base != kUnset) {
             table[w] = std::min(prev[w], base + it.specific_size);
           }
         }
       });
       return;
     }
-    for (std::uint64_t w = reach; w >= it.rounded; --w) {
-      const Bytes base = table[w - it.rounded];
-      if (base != kInfWeight) {
-        table[w] = std::min(table[w], base + it.specific_size);
-      }
-      if (w == it.rounded) break;
-    }
+    support::simd::ops().min_plus_shift_u64(table.data(), it.rounded, span,
+                                            it.specific_size);
   }
 
-  /// Largest rounded profit achievable within `budget`.
+  /// Drops the top states whose min weight exceeds `budget`. Exact for
+  /// every leaf below: their budgets are no larger, and add() only derives
+  /// heavier states from these, so no leaf could afford any of them.
+  void trim(Bytes budget) {
+    reach = start(budget);
+    table.resize(reach + 1);
+  }
+
+  /// Largest rounded profit achievable within `budget`. The budget is
+  /// capped below kUnset so that no unset state compares as affordable,
+  /// whatever the capacity (the CLI accepts up to 1.8e19 B).
   [[nodiscard]] std::size_t start(Bytes budget) const {
+    const Bytes cap = std::min(budget, kUnset - 1);
     for (std::uint64_t w = reach;; --w) {
-      if (table[w] <= budget) return w;
+      if (table[w] <= cap) return w;
       if (w == 0) return 0;
     }
   }
@@ -109,9 +113,7 @@ struct ProfitDp {
     return static_cast<double>(start(budget));
   }
   [[nodiscard]] static std::size_t step(const Candidate& it) { return it.rounded; }
-  [[nodiscard]] ProfitDp fresh(Bytes /*budget*/) const {
-    return ProfitDp(max_states, threads);
-  }
+  [[nodiscard]] ProfitDp fresh(Bytes /*budget*/) const { return ProfitDp(threads); }
 };
 
 /// Weight-indexed: table[w] = max utility with quantized weight ≤ w.
@@ -148,6 +150,10 @@ struct WeightDp {
       if (w == wq) break;
     }
   }
+
+  /// Shrinks the storage axis to `budget`: add() reads only lower states,
+  /// and a leaf with a smaller budget reads no state above start(budget).
+  void trim(Bytes budget) { table.resize(start(budget) + 1); }
 
   [[nodiscard]] std::size_t start(Bytes budget) const {
     return std::min(static_cast<std::size_t>(budget / quantum), table.size() - 1);
@@ -194,6 +200,12 @@ struct JointDp {
       }
       if (s == wq) break;
     }
+  }
+
+  /// Shrinks the storage axis to `budget`, as WeightDp::trim does.
+  void trim(Bytes budget) {
+    storage_states = std::min(static_cast<std::size_t>(budget / quantum), storage_states);
+    table.resize((storage_states + 1) * kStride);
   }
 
   [[nodiscard]] std::size_t start(Bytes budget) const {
@@ -391,6 +403,8 @@ void traverse(const std::vector<Chain>& chains, const std::vector<Candidate>& ca
   for (std::size_t t = 1; t < chain.cum_size.size(); ++t) {
     if (used_shared + chain.cum_size[t] > capacity) break;  // cum sizes increase
     for (const std::size_t c : chain.at_level[t]) local.add(candidates[c]);
+    // Every leaf below spends at least this level's shared bytes.
+    local.trim(capacity - used_shared - chain.cum_size[t]);
     levels[f] = t;
     traverse(chains, candidates, f + 1, local, used_shared + chain.cum_size[t],
              capacity, levels, visited, best);
@@ -416,6 +430,7 @@ void solve_leaves(const ModelLibrary& library, const std::vector<Candidate>& can
     std::vector<std::size_t> levels(decomposition.chains.size(), 0);
     Dp dp = empty;
     for (const std::size_t c : decomposition.base) dp.add(candidates[c]);
+    dp.trim(capacity);
     traverse(decomposition.chains, candidates, 0, dp, Bytes{0}, capacity, levels,
              visited, best);
     if (best.valid) {
@@ -573,11 +588,20 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
   }
   if (!joint && config.mode == DpMode::kProfitRounding) {
     std::uint64_t total = 0;
-    for (const auto& cand : candidates) total += cand.rounded;
+    Bytes weight = 0;  // saturates at ProfitDp::kUnset, so it cannot wrap
+    for (const auto& cand : candidates) {
+      total += cand.rounded;
+      weight = std::min(weight + std::min(cand.specific_size, ProfitDp::kUnset),
+                        ProfitDp::kUnset);
+    }
     if (total + 1 > config.max_profit_states) {
       throw std::runtime_error(
           "solve_server_subproblem: profit state space exceeds max_profit_states; "
           "increase epsilon or use kWeightQuantized");
+    }
+    if (weight == ProfitDp::kUnset) {
+      throw std::invalid_argument(
+          "solve_server_subproblem: candidate specific sizes sum to 2^62 B or more");
     }
   }
 
@@ -588,7 +612,7 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
                  JointDp(config.weight_states, quantum), capacity, result);
   } else if (config.mode == DpMode::kProfitRounding) {
     solve_leaves(library, candidates, decomposition,
-                 ProfitDp(config.max_profit_states, config.threads), capacity, result);
+                 ProfitDp(config.threads), capacity, result);
   } else {
     solve_leaves(library, candidates, decomposition,
                  WeightDp(config.weight_states, quantum, config.threads), capacity,

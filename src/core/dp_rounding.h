@@ -32,6 +32,17 @@
 // recovered by replaying its members through a fresh DP of the same type and
 // tracing back through the states each member changed.
 //
+// Per-node trim. A chain level's node can only lead to leaves whose budget
+// is at most Q_m - d_N of that node, and adding items only makes states
+// heavier, so after each level's adds the traversal trims the DP to that
+// budget: the profit DP drops its top states whose min weight exceeds it,
+// the weight-indexed DPs shrink their storage axis to it. Every leaf reads
+// the same score it would read from the untrimmed DP, so the trim only
+// removes work. The profit DP's fill is one branch-free min-plus pass per
+// item, kept finite by a 2^62 unset sentinel and dispatched through
+// support/simd.h's min_plus_shift_u64 (4-wide on AVX2, bit-identical to the
+// scalar loop). The winner replay runs untrimmed.
+//
 // Joint caching + compute (the second knapsack dimension): when the caller
 // passes per-model compute loads and a finite compute budget, the inner
 // knapsack becomes a 2D weight-indexed DP over (storage, compute) states —
@@ -83,7 +94,9 @@ struct ServerSubproblemResult {
 };
 
 /// Solves P2.1_m. `utilities[i]` is u(m,i), finite and ≥ 0 (un-normalized
-/// mass is fine); models with zero utility are never selected.
+/// mass is fine); models with zero utility are never selected. Profit mode
+/// rejects (std::invalid_argument) candidate sets whose specific sizes sum
+/// to 2^62 B or more, the profit DP's unset sentinel.
 ///
 /// Joint mode: when `compute_loads` is non-null (size I, per-model optimistic
 /// compute weight — Σ p·c over the model's still-uncovered hit entries) and

@@ -7,6 +7,7 @@
 // force_backend() overrides for tests and A/B benchmarks.
 #include "src/support/simd.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -57,8 +58,21 @@ double scalar_min_gather(const double* x, const std::uint32_t* idx, std::size_t 
   return best;
 }
 
+}  // namespace
+
+// Outside the anonymous namespace: the NEON backend reuses it.
+void scalar_min_plus_shift_u64(std::uint64_t* table, std::size_t shift, std::size_t n,
+                               std::uint64_t add) {
+  for (std::size_t j = n; j-- > 0;) {
+    table[j + shift] = std::min(table[j + shift], table[j] + add);
+  }
+}
+
+namespace {
+
 constexpr Ops kScalarOps{scalar_rayleigh_gains, scalar_inv_rate_from_gains,
-                         scalar_min_span, scalar_min_gather};
+                         scalar_min_span, scalar_min_gather,
+                         scalar_min_plus_shift_u64};
 
 // ---------------------------------------------------------------- dispatch
 

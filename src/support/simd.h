@@ -1,4 +1,4 @@
-// Portable SIMD layer for the Monte-Carlo fading kernels.
+// Portable SIMD layer for the Monte-Carlo fading kernels and Spec's DP fill.
 //
 // Every fading figure bottoms out in the same three array passes per
 // realization (sim/eval_plan.h): sample a Rayleigh power gain per link,
@@ -40,6 +40,11 @@
 //     without NaNs (the fading arrays hold positive finites and +inf only):
 //     vector min instructions agree with std::min there, and the reduction
 //     tree of a min is order-insensitive.
+//
+//   * min_plus_shift_u64 (the profit-indexed knapsack fill of
+//     core/dp_rounding.cc) is integer-only and BIT-EXACT across backends. It
+//     is the one in-place kernel: it reads and writes the same table, so it
+//     is the exception to "outputs never alias inputs" (see Ops).
 //
 // The fading hit *decision* consumes only min-reductions and comparisons,
 // so given identical inverse-rate arrays it is bit-exact on every backend;
@@ -115,6 +120,19 @@ struct Ops {
 
   /// min over x[idx[0..n)]; +inf when n == 0. Bit-exact across backends.
   double (*min_gather)(const double* x, const std::uint32_t* idx, std::size_t n);
+
+  /// In place, descending: for j = n-1 down to 0,
+  ///   table[j + shift] = min(table[j + shift], table[j] + add),
+  /// over a table of n + shift entries, with shift >= 1. Since j only
+  /// descends, every update reads pre-update values, as a 0/1 knapsack row
+  /// must. Precondition: every table value and every table[j] + add stays
+  /// below 2^63 (the vector backends compare as signed 64-bit). Bit-exact
+  /// across backends. The exception to "outputs never alias inputs": a
+  /// 4-lane block loads its source window table[j..j+3] and destination
+  /// window before it stores, and the blocks above it wrote only indices
+  /// >= j + 4 + shift, so neither window was touched yet.
+  void (*min_plus_shift_u64)(std::uint64_t* table, std::size_t shift, std::size_t n,
+                             std::uint64_t add);
 };
 
 /// The active backend's entry points (runtime dispatch, resolved per call so

@@ -1,7 +1,8 @@
 // AVX2(+FMA) backend of the SIMD layer (simd.h): 4-wide double kernels for
-// the fading hot path. Compiled via function-level target attributes so the
-// library's baseline ISA is untouched; simd.cc only dispatches here after a
-// cpuid check, so none of these functions executes on a non-AVX2 machine.
+// the fading hot path and a 4-wide uint64 min-plus kernel for Spec's DP.
+// Compiled via function-level target attributes so the library's baseline
+// ISA is untouched; simd.cc only dispatches here after a cpuid check, so
+// none of these functions executes on a non-AVX2 machine.
 //
 // Numerics: the integer counter -> uniform path is exactly simd.cc's scalar
 // derivation (64-bit multiplies emulated with 32x32 pieces — AVX2 has no
@@ -208,10 +209,28 @@ TRIMCACHING_AVX2 double avx2_min_gather(const double* x, const std::uint32_t* id
   return best;
 }
 
+// 4-wide descending blocks of the in-place knapsack fill. Values stay below
+// 2^63 (simd.h precondition), so the signed cmpgt_epi64 orders them as
+// unsigned; the blend keeps the smaller of the two, as std::min does.
+TRIMCACHING_AVX2 void avx2_min_plus_shift_u64(std::uint64_t* table, std::size_t shift,
+                                              std::size_t n, std::uint64_t add) {
+  const __m256i addv = _mm256_set1_epi64x(static_cast<long long>(add));
+  std::size_t j = n;
+  for (; j >= 4; j -= 4) {
+    auto* dst = reinterpret_cast<__m256i*>(table + j - 4 + shift);
+    const __m256i src = _mm256_add_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table + j - 4)), addv);
+    const __m256i old = _mm256_loadu_si256(dst);
+    _mm256_storeu_si256(dst,
+                        _mm256_blendv_epi8(old, src, _mm256_cmpgt_epi64(old, src)));
+  }
+  for (; j-- > 0;) table[j + shift] = std::min(table[j + shift], table[j] + add);
+}
+
 #undef TRIMCACHING_AVX2
 
 constexpr Ops kAvx2Ops{avx2_rayleigh_gains, avx2_inv_rate_from_gains,
-                       avx2_min_span, avx2_min_gather};
+                       avx2_min_span, avx2_min_gather, avx2_min_plus_shift_u64};
 
 }  // namespace
 

@@ -22,6 +22,9 @@
 
 namespace trimcaching::support::simd {
 
+void scalar_min_plus_shift_u64(std::uint64_t* table, std::size_t shift, std::size_t n,
+                               std::uint64_t add);  // simd.cc
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -132,8 +135,10 @@ double neon_min_gather(const double* x, const std::uint32_t* idx, std::size_t n)
   return best;
 }
 
+// The DP fill stays scalar here: NEON's 64-bit compare-and-select would need
+// an AArch64 host to validate against the scalar reference.
 constexpr Ops kNeonOps{neon_rayleigh_gains, neon_inv_rate_from_gains,
-                       neon_min_span, neon_min_gather};
+                       neon_min_span, neon_min_gather, scalar_min_plus_shift_u64};
 
 }  // namespace
 

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 #include <string>
 
 #include "src/core/dp_rounding.h"
 #include "src/core/storage.h"
+#include "src/core/trimcaching_spec.h"
 #include "src/model/special_case_generator.h"
+#include "src/sim/scenario.h"
+#include "src/support/simd.h"
 #include "tests/test_util.h"
 
 namespace trimcaching::core {
@@ -154,6 +158,51 @@ TEST_P(DpChainPath, EveryModeMatchesBruteForce) {
   expect_modes_match_brute_force(lib, utilities, 120.0, /*chain_path=*/true);
 }
 
+TEST_P(DpChainPath, TightCapacityEveryModeMatchesBruteForce) {
+  // Two nested-prefix families plus two unshared models, all whole-MB, with
+  // the capacity 5 MB above the largest shared prefix: every chain level
+  // trims the DP to a budget below its parent's, and the deep levels' trims
+  // drop states the unshared models alone would reach.
+  Rng rng(GetParam() + 600);
+  auto mb = [&rng](int lo, int hi) {
+    return megabytes(static_cast<double>(rng.uniform_int(lo, hi)));
+  };
+  model::ModelLibrary lib;
+  std::size_t next = 0;
+  auto add = [&](std::vector<BlockId> blocks) {
+    const std::string name = "m" + std::to_string(next++);
+    blocks.push_back(lib.add_block(mb(1, 4), "x" + name));
+    lib.add_model(name, "f", std::move(blocks));
+  };
+  const BlockId p1 = lib.add_block(mb(4, 12), "p1");
+  const BlockId p2 = lib.add_block(mb(4, 12), "p2");
+  const BlockId p3 = lib.add_block(mb(4, 12), "p3");
+  const BlockId q1 = lib.add_block(mb(4, 12), "q1");
+  const BlockId q2 = lib.add_block(mb(4, 12), "q2");
+  for (const auto& shared : std::vector<std::vector<BlockId>>{
+           {p1}, {p1, p2}, {p1, p2, p3}, {p1, p2, p3}, {q1}, {q1, q2}, {q1, q2}, {}, {}}) {
+    add(shared);
+  }
+  lib.finalize();
+  support::Bytes largest_prefix = 0;
+  for (ModelId i = 0; i < lib.num_models(); ++i) {
+    largest_prefix = std::max(largest_prefix, lib.combination_size(lib.shared_part(i)));
+  }
+  std::vector<double> utilities(lib.num_models());
+  for (auto& u : utilities) u = rng.uniform(0.1, 1.0);
+  const double capacity_mb = support::as_megabytes(largest_prefix) + 5.0;
+  expect_modes_match_brute_force(lib, utilities, capacity_mb, /*chain_path=*/true);
+  // Near-exact profits: a trim that dropped an affordable state would lose a
+  // whole model's utility (>= 1% of the optimum here), which ε = 0.1 could
+  // hide.
+  SpecSolverConfig fine;
+  fine.epsilon = 1e-4;
+  const support::Bytes capacity = megabytes(capacity_mb);
+  const double optimum = testutil::brute_force_subproblem(lib, utilities, capacity);
+  EXPECT_NEAR(solve_server_subproblem(lib, utilities, capacity, fine).value, optimum,
+              1e-4 * optimum);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DpChainPath, ::testing::Range<std::uint64_t>(0, 8));
 
 // ------------------------------------------- closure fallback (general case)
@@ -266,6 +315,119 @@ TEST(DpRounding, HugeCapacitySelectsEverythingUseful) {
       solve_server_subproblem(lib, utilities, support::gigabytes(10));
   EXPECT_EQ(result.models.size(), lib.num_models());
   EXPECT_NEAR(result.value, 0.5 * lib.num_models(), 1e-9);
+}
+
+TEST(DpRounding, ProfitModeAtUint64ScaleCapacitySelectsEverythingUseful) {
+  // 1e19 B is above the profit DP's 2^62 unset sentinel; the solve must
+  // still take every model with positive utility.
+  Rng rng(31);
+  const auto lib = testutil::random_library(rng, 8, 10);
+  const auto utilities = random_utilities(lib, rng, 0.3);
+  std::vector<ModelId> useful;
+  double total = 0.0;
+  for (ModelId i = 0; i < lib.num_models(); ++i) {
+    if (utilities[i] > 0.0) {
+      useful.push_back(i);
+      total += utilities[i];
+    }
+  }
+  ASSERT_FALSE(useful.empty());
+  ASSERT_LT(useful.size(), lib.num_models());
+  const auto result = solve_server_subproblem(
+      lib, utilities, support::Bytes{10'000'000'000'000'000'000ull}, SpecSolverConfig{});
+  EXPECT_EQ(result.models, useful);
+  EXPECT_NEAR(result.value, total, 1e-12);
+}
+
+TEST(DpRounding, ProfitModeRejectsWeightsAtTheUnsetSentinel) {
+  // Two 2^61 B models sum to the profit DP's 2^62 B unset sentinel.
+  model::ModelLibrary lib;
+  for (int i = 0; i < 2; ++i) {
+    const BlockId block = lib.add_block(support::Bytes{1} << 61, "b" + std::to_string(i));
+    lib.add_model("m" + std::to_string(i), "f", {block});
+  }
+  lib.finalize();
+  const std::vector<double> utilities = {1.0, 1.0};
+  const support::Bytes capacity = support::Bytes{1} << 63;
+  EXPECT_THROW((void)solve_server_subproblem(lib, utilities, capacity),
+               std::invalid_argument);
+  // Weight mode has no sentinel: it takes both.
+  SpecSolverConfig weight;
+  weight.mode = DpMode::kWeightQuantized;
+  EXPECT_EQ(solve_server_subproblem(lib, utilities, capacity, weight).models.size(), 2u);
+}
+
+TEST(DpRounding, ProfitStateCapThrowsNamingTheKnob) {
+  Rng rng(32);
+  const auto lib = testutil::random_library(rng, 6, 8);
+  const auto utilities = random_utilities(lib, rng, 0.0);
+  SpecSolverConfig config;
+  config.max_profit_states = 10;  // ε = 0.1 rounds each profit to >= 10
+  try {
+    (void)solve_server_subproblem(lib, utilities, megabytes(20), config);
+    ADD_FAILURE() << "a profit table above max_profit_states was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("max_profit_states"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DpRounding, ShardedProfitFillMatchesSerialBitForBit) {
+  // 48 unshared models with profits rounded to 1000-2000 each (ε = 1e-3,
+  // utilities in [1, 2]): the profit table passes the 2^16 states above
+  // which a multi-threaded fill shards the state axis.
+  Rng rng(33);
+  model::ModelLibrary lib;
+  for (int i = 0; i < 48; ++i) {
+    const BlockId block = lib.add_block(
+        megabytes(static_cast<double>(rng.uniform_int(1, 8))), "b" + std::to_string(i));
+    lib.add_model("m" + std::to_string(i), "f", {block});
+  }
+  lib.finalize();
+  std::vector<double> utilities(lib.num_models());
+  for (auto& u : utilities) u = rng.uniform(1.0, 2.0);
+  SpecSolverConfig config;
+  config.epsilon = 1e-3;
+  const auto serial = solve_server_subproblem(lib, utilities, megabytes(120), config);
+  config.threads = 4;
+  const auto sharded = solve_server_subproblem(lib, utilities, megabytes(120), config);
+  EXPECT_FALSE(serial.models.empty());
+  EXPECT_LT(serial.models.size(), lib.num_models());
+  EXPECT_EQ(sharded.models, serial.models);
+  EXPECT_EQ(sharded.value, serial.value);
+  EXPECT_EQ(sharded.combinations_visited, serial.combinations_visited);
+}
+
+TEST(DpRounding, SpecIsIdenticalOnScalarAndDispatchedFill) {
+  // The profit DP's fill runs through simd::Ops::min_plus_shift_u64; the
+  // scalar reference and the dispatched backend must give the same Spec run
+  // on fig8's 10x point (M=32, K=200, I=300).
+  sim::ScenarioConfig config;
+  config.num_servers = 32;
+  config.num_users = 200;
+  config.area_side_m = 1789.0;
+  config.library_size = 300;
+  config.special.models_per_family = 100;
+  config.requests.models_per_user = 30;
+  config.requests.deadline_min_s = 2.0;
+  config.requests.deadline_max_s = 6.0;
+  Rng rng(2);
+  const sim::Scenario scenario = sim::build_scenario(config, rng);
+  const PlacementProblem problem = scenario.problem();
+  namespace simd = support::simd;
+  const simd::Backend best = simd::active_backend();
+  const SpecResult dispatched = trimcaching_spec(problem);
+  simd::force_backend(simd::Backend::kScalar);
+  const SpecResult scalar = trimcaching_spec(problem);
+  simd::clear_forced_backend();
+  ASSERT_EQ(simd::active_backend(), best);
+  EXPECT_GT(dispatched.placement.total_placements(), 0u);
+  for (ServerId m = 0; m < problem.num_servers(); ++m) {
+    EXPECT_EQ(dispatched.placement.models_on(m), scalar.placement.models_on(m))
+        << "server " << m;
+  }
+  EXPECT_EQ(dispatched.combinations_visited, scalar.combinations_visited);
+  EXPECT_EQ(dispatched.hit_ratio, scalar.hit_ratio);
 }
 
 TEST(DpRounding, InvalidInputsThrow) {

@@ -287,7 +287,9 @@ TEST(DriftingZipf, OrdersStayPermutationsAndExponentRamps) {
       ASSERT_FALSE(seen[i]);
       seen[i] = 1;
     }
-    if (e > 0) EXPECT_GT(drift.exponent_at(e), drift.exponent_at(e - 1));
+    if (e > 0) {
+      EXPECT_GT(drift.exponent_at(e), drift.exponent_at(e - 1));
+    }
   }
 }
 

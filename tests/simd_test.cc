@@ -10,6 +10,10 @@
 //     +inf guard rows;
 //   * min_span / min_gather are BIT-exact across backends at every sweep
 //     size, including n == 0 (+inf);
+//   * min_plus_shift_u64 (Spec's in-place DP fill) is BIT-exact across
+//     backends for shifts 1-9 and lengths 0-67 over tables holding the
+//     profit DP's unset sentinel, and the scalar reference reads only
+//     pre-update values;
 //   * runtime dispatch: the active backend is available, force_backend
 //     overrides it (and rejects unavailable backends), clear_forced_backend
 //     restores auto-detection;
@@ -26,6 +30,7 @@
 //     Evaluator::plan_stats) and invalidates on apply_delta.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -161,6 +166,37 @@ TEST(SimdBackend, MinReductionsBitExactAcrossBackends) {
       if (n == 0) {
         ASSERT_EQ(span_got, kInf);
         ASSERT_EQ(gather_got, kInf);
+      }
+    }
+  }
+}
+
+TEST(SimdBackend, MinPlusShiftBitExactAcrossBackends) {
+  constexpr std::uint64_t kSentinel = std::uint64_t{1} << 62;  // ProfitDp::kUnset
+  const simd::Ops& scalar = simd::ops(simd::Backend::kScalar);
+  for (const simd::Backend backend : available_backends()) {
+    const simd::Ops& ops = simd::ops(backend);
+    for (std::size_t shift = 1; shift <= 9; ++shift) {
+      for (std::size_t n = 0; n <= 67; ++n) {
+        Rng rng(shift * 131 + n);
+        std::vector<std::uint64_t> table(n + shift);
+        for (auto& v : table) {
+          v = rng.bernoulli(0.3) ? kSentinel
+                                 : static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000));
+        }
+        const auto add = static_cast<std::uint64_t>(rng.uniform_int(0, 400'000));
+        // Snapshot semantics: every update reads the pre-update row.
+        std::vector<std::uint64_t> want = table;
+        for (std::size_t j = 0; j < n; ++j) {
+          want[j + shift] = std::min(table[j + shift], table[j] + add);
+        }
+        std::vector<std::uint64_t> ref = table;
+        scalar.min_plus_shift_u64(ref.data(), shift, n, add);
+        ASSERT_EQ(ref, want) << "scalar shift=" << shift << " n=" << n;
+        std::vector<std::uint64_t> got = table;
+        ops.min_plus_shift_u64(got.data(), shift, n, add);
+        ASSERT_EQ(got, ref) << simd::backend_name(backend) << " shift=" << shift
+                            << " n=" << n;
       }
     }
   }
